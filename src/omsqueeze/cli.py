@@ -46,7 +46,6 @@ from .errors import (
     QuadratureFailure,
     UnstableSystem,
 )
-from .kernels import BACKEND
 from .lyapunov import steady_covariance
 from .mech_spectra import quadrature_variances, spectrum, squeezing_db
 from .output_detection import find_band, spectrum_zout
@@ -58,7 +57,7 @@ from .params import (
     rwa_flags,
     solve_steady_state,
 )
-from .sde_oracle import SimConfig, em_fixed_point, simulate, suggest_config
+from .sde_oracle import SimConfig, simulate, suggest_config
 from .stability import build_drift, routh_hurwitz
 
 _log = logging.getLogger("omsqueeze")
@@ -470,28 +469,20 @@ def cmd_oracle(args) -> int:
     elapsed = time.perf_counter() - t0
     z_q = (est.var_q - cov.var_q) / est.stderr_q
     z_p = (est.var_p - cov.var_p) / est.stderr_p
-    fq, fp = em_fixed_point(dm, cfg.dt)
 
-    columns = ["backend", "dt", "duration", "burn_in", "n_traj", "seed",
+    columns = ["dt", "duration", "burn_in", "n_traj", "seed",
                "var_q_hat", "stderr_q", "var_p_hat", "stderr_p",
-               "lyapunov_var_q", "lyapunov_var_p", "z_q", "z_p",
-               "em_fixed_var_q", "em_fixed_var_p"]
-    rows = [(BACKEND, cfg.dt, cfg.duration, cfg.burn_in, cfg.n_traj, cfg.seed,
+               "lyapunov_var_q", "lyapunov_var_p", "z_q", "z_p"]
+    rows = [(cfg.dt, cfg.duration, cfg.burn_in, cfg.n_traj, cfg.seed,
              est.var_q, est.stderr_q, est.var_p, est.stderr_p,
-             cov.var_q, cov.var_p, z_q, z_p, fq, fp)]
-    meta = _params_metadata(p)
-    meta["backend"] = BACKEND
-    _write_table(args, columns, rows, meta)
+             cov.var_q, cov.var_p, z_q, z_p)]
+    _write_table(args, columns, rows, _params_metadata(p))
 
-    print(f"backend {BACKEND}, {cfg.n_traj} trajectories, dt={cfg.dt:.3e}, "
-          f"{elapsed:.1f}s")
+    print(f"{cfg.n_traj} trajectories, dt={cfg.dt:.3e}, {elapsed:.1f}s")
     print(f"var_q = {est.var_q:.6f} +- {est.stderr_q:.2e}   "
           f"(Lyapunov {cov.var_q:.6f}, z = {z_q:+.2f})")
     print(f"var_p = {est.var_p:.6f} +- {est.stderr_p:.2e}   "
           f"(Lyapunov {cov.var_p:.6f}, z = {z_p:+.2f})")
-    print(f"Euler fixed point at this dt: var_q {fq:.6f}, var_p {fp:.6f} "
-          f"(discretization bias {(fq - cov.var_q) / cov.var_q:+.2%}, "
-          f"{(fp - cov.var_p) / cov.var_p:+.2%})")
     return 0
 
 
@@ -509,34 +500,6 @@ def _draw_mech_params(rng: np.random.Generator) -> SystemParams:
         report = routh_hurwitz(p, ss)
         if report.stable and min(report.conditions) > 1e-8:
             return p
-
-
-_SDE_BIAS_TOL = 1e-3        # Euler fixed-point bias budget, relative
-_SDE_MAX_STEPS = 8_000_000  # per-trajectory cap when shrinking the step
-
-
-def _plan_sde_config(dm, seed: int) -> SimConfig | None:
-    """Schedule whose Euler fixed-point bias fits the budget, or None.
-
-    Halving dt suppresses the discretization bias (linear in dt) at the
-    price of more steps; a model whose slow modes rotate too fast for
-    the step cap is rejected rather than sampled with a bias the
-    3-sigma comparison would mistake for a defect.
-    """
-    cov = steady_covariance(dm)
-    cfg = suggest_config(dm, seed=seed, n_traj=16)
-    dt = cfg.dt
-    while True:
-        fq, fp = em_fixed_point(dm, dt)
-        bias = max(abs(fq - cov.var_q) / cov.var_q,
-                   abs(fp - cov.var_p) / cov.var_p)
-        if bias <= _SDE_BIAS_TOL:
-            return SimConfig(dt=dt, duration=cfg.duration,
-                             burn_in=cfg.burn_in, n_traj=cfg.n_traj,
-                             seed=cfg.seed)
-        if (cfg.duration + cfg.burn_in) / (dt / 2.0) > _SDE_MAX_STEPS:
-            return None
-        dt /= 2.0
 
 
 def _draw_sde_case(rng: np.random.Generator, seed: int) -> tuple[SystemParams, SimConfig]:
@@ -557,9 +520,7 @@ def _draw_sde_case(rng: np.random.Generator, seed: int) -> tuple[SystemParams, S
         slowest = float((-np.linalg.eigvals(dm.M).real).min())
         if slowest < 0.02 * p.kappa:
             continue
-        cfg = _plan_sde_config(dm, seed)
-        if cfg is not None:
-            return p, cfg
+        return p, suggest_config(dm, seed=seed, n_traj=16)
 
 
 def cmd_validate(args) -> int:
@@ -592,7 +553,6 @@ def cmd_validate(args) -> int:
              for r in sde_results]
     meta = {
         "seed": args.seed,
-        "backend": BACKEND,
         "quad_draws": args.quad_draws,
         "sde_draws": args.sde_draws,
         "worst_rel_diff": worst_rel,
@@ -603,7 +563,7 @@ def cmd_validate(args) -> int:
     _write_table(args, columns, rows, meta)
 
     print(f"validation {'PASSED' if quad_pass and sde_pass else 'FAILED'} "
-          f"in {elapsed:.1f}s (backend: {BACKEND})")
+          f"in {elapsed:.1f}s")
     return 0 if quad_pass and sde_pass else 2
 
 

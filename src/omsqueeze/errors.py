@@ -42,7 +42,7 @@ class AboveThreshold(ValueError):
 
 
 class DivergingTrajectory(ModelError):
-    """A simulated trajectory exceeded the divergence guard (time step too large)."""
+    """A simulated trajectory exceeded the divergence guard (transient growth of the drift)."""
 
 
 class SingularSolve(ModelError):

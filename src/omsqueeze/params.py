@@ -22,9 +22,11 @@ phase-sensitive result downstream.
 """
 from __future__ import annotations
 
+import ast
 import math
 import cmath
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.constants import hbar, k as k_B
@@ -111,6 +113,10 @@ class SystemParams:
     detuning: float | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
         if self.omega_m <= 0:
@@ -347,19 +353,46 @@ _FLOAT_KEYS = {
 _ANGLE_KEYS = {"theta", "detuning"}
 
 
+_ANGLE_NAMES = {"pi": math.pi, "e": math.e}
+_ANGLE_UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+_ANGLE_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+                 ast.Mult: operator.mul, ast.Div: operator.truediv}
+
+
+def _angle_value(node: ast.AST) -> float:
+    # each node is checked before its operands are evaluated, so a
+    # rejected operator (power, call, ...) never runs
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in _ANGLE_NAMES:
+        return _ANGLE_NAMES[node.id]
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _ANGLE_UNARY:
+        return _ANGLE_UNARY[type(node.op)](_angle_value(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _ANGLE_BINOPS:
+        return _ANGLE_BINOPS[type(node.op)](_angle_value(node.left),
+                                            _angle_value(node.right))
+    raise ValueError(f"unsupported element {type(node).__name__}")
+
+
 def parse_angle(text: str) -> float:
     """Parse an angle given in radians or as arithmetic on ``pi``.
 
     Accepts plain floats ("0.196"), pi fractions ("pi/16", "3*pi/4",
-    "-pi/2"), and parenthesized combinations thereof.
+    "-pi/2"), and parenthesized combinations thereof: numbers, ``pi``,
+    ``e``, binary ``+ - * /`` and unary signs. Nothing is evaluated
+    beyond that arithmetic.
     """
     allowed = set("0123456789.+-*/() epi")
     if not text or set(text) - allowed:
         raise ConfigError(f"malformed angle expression: {text!r}")
     try:
-        return float(eval(text, {"__builtins__": {}}, {"pi": math.pi, "e": math.e}))
-    except Exception as exc:
+        value = _angle_value(ast.parse(text, mode="eval").body)
+    except (SyntaxError, ValueError, ZeroDivisionError, RecursionError,
+            MemoryError) as exc:
         raise ConfigError(f"malformed angle expression: {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"angle expression is not finite: {text!r}")
+    return value
 
 
 def load_config(path: str) -> dict[str, float]:

@@ -164,11 +164,14 @@ class TestAnalyticOracleValidate:
         assert code == 0
         _, rows = read_table(path)
         row = rows[0]
-        z_p = abs(float(row["var_p_hat"]) - float(row["lyapunov_var_p"])) \
+        z_p = (float(row["var_p_hat"]) - float(row["lyapunov_var_p"])) \
             / float(row["stderr_p"])
         assert z_p == pytest.approx(float(row["z_p"]), rel=1e-9)
-        assert z_p < 4.0
-        assert "Euler fixed point" in capsys.readouterr().out
+        assert abs(z_p) < 4.0
+        assert list(row) == ["dt", "duration", "burn_in", "n_traj", "seed",
+                             "var_q_hat", "stderr_q", "var_p_hat", "stderr_p",
+                             "lyapunov_var_q", "lyapunov_var_p", "z_q", "z_p"]
+        assert "8 trajectories" in capsys.readouterr().out
 
     def test_validate_small(self, tmp_path, capsys):
         code, path = run(tmp_path, "validate", "--seed", "3",
@@ -279,6 +282,21 @@ class TestExitCodes:
                      "-o", str(tmp_path / "x.csv")])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["analytic", "--gamma-m", "nan", "--cooperativity", "400"],
+        ["sweep-gain", "--gamma-m", "nan", "--cooperativity", "400",
+         "--points", "3", "--workers", "1"],
+        ["analytic", "--gamma-m", "1e-5", "--cooperativity", "inf"],
+        ["analytic", "--config", "fig3", "--theta", "2**3"],
+    ])
+    def test_non_finite_and_power_inputs(self, tmp_path, capsys, argv):
+        code = main([*argv, "-o", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "usage error:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_bad_theta_literal(self, tmp_path, capsys):
         code = main(["analytic", "--theta", "two pi",

@@ -79,6 +79,15 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(gamma_m=1e-5, cooperativity=400.0, temperature=-1.0)
 
+    @pytest.mark.parametrize("field", ["gamma_m", "cooperativity", "G",
+                                       "theta", "temperature", "detuning"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, bad):
+        values = dict(gamma_m=1e-5, cooperativity=400.0)
+        values[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SystemParams(**values)
+
     def test_power_mode_requires_g0(self):
         with pytest.raises(ValueError):
             SystemParams(gamma_m=1e-5, epsilon_l=1.0)
@@ -180,8 +189,18 @@ class TestAngleParsing:
         assert parse_angle(text) == pytest.approx(value, rel=1e-15)
 
     @pytest.mark.parametrize("text", ["", "pi/0x1", "import os", "theta",
-                                      "__import__('os')", "1;2"])
+                                      "__import__('os')", "1;2", "pi/0",
+                                      "1e999"])
     def test_rejected_forms(self, text):
+        with pytest.raises(ConfigError):
+            parse_angle(text)
+
+    # each of these passes the character filter and is valid Python; the
+    # parser must refuse it from the syntax tree alone. 9**9**9 would not
+    # finish if it were evaluated.
+    @pytest.mark.parametrize("text", ["2**3", "9**9**9", "pi**2", "pie",
+                                      "pi(1)", "e(pi)", "1 + 9**9**9"])
+    def test_power_names_and_calls_rejected(self, text):
         with pytest.raises(ConfigError):
             parse_angle(text)
 
