@@ -48,7 +48,7 @@ class AdiabaticInputs:
             raise DomainError(f"G0 must lie in [0, 1), got {self.G0}")
         if self.cooperativity <= 0.0:
             raise DomainError("cooperativity must be positive")
-        if self.eta < 0.0 or self.eta > 4.0 * self.cooperativity:
+        if not 0.0 <= self.eta <= 4.0 * self.cooperativity:
             raise FeedbackUnstable(
                 f"feedback gain {self.eta} outside [0, 4C] = [0, {4 * self.cooperativity}]"
             )

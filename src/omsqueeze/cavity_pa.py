@@ -89,12 +89,11 @@ def cavity_spectra(omega, p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     return S_x.real, S_y.real
 
 
-def cavity_variances(p: SystemParams, abs_tol: float = 1e-8) -> tuple[float, float]:
+def cavity_variances(p: SystemParams) -> tuple[float, float]:
     """Stationary quadrature variances (var_x, var_y) of the empty cavity."""
     _threshold_guard(p)
-    var_x = integrate_line(lambda w: cavity_spectra(w, p)[0], abs_tol=abs_tol)
-    var_y = integrate_line(lambda w: cavity_spectra(w, p)[1], abs_tol=abs_tol)
-    return var_x / (2.0 * np.pi), var_y / (2.0 * np.pi)
+    var_x, var_y = integrate_line(lambda w: np.stack(cavity_spectra(w, p)))
+    return float(var_x) / (2.0 * np.pi), float(var_y) / (2.0 * np.pi)
 
 
 def _var_y_theta0(p: SystemParams) -> float:

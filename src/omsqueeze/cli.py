@@ -48,8 +48,9 @@ from .errors import (
 )
 from .lyapunov import steady_covariance
 from .mech_spectra import quadrature_variances, spectrum, squeezing_db
-from .output_detection import find_band, spectrum_zout
+from .output_detection import detection_map, find_band, spectrum_zout
 from .params import (
+    SteadyState,
     SystemParams,
     load_config,
     params_from_mapping,
@@ -259,6 +260,20 @@ def _sde_case(task: tuple[SystemParams, SimConfig]) -> tuple:
 # ---------------------------------------------------------------------------
 # sweep subcommands
 
+def _check_count(flag: str, count: int) -> None:
+    if count < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {count}")
+
+
+def _grid(bounds: tuple[float, float], points: int, flag: str) -> np.ndarray:
+    # ``points`` values over [lo, hi]; ``flag`` names the option that set points
+    lo, hi = bounds
+    _check_count(flag, points)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError(f"grid range must be finite with lo < hi, got [{lo}, {hi}]")
+    return np.linspace(lo, hi, points)
+
+
 def _sweep_range(args, default_lo: float, default_hi: float) -> np.ndarray:
     lo, hi = args.range if args.range else (default_lo, default_hi)
     if args.points < 2:
@@ -322,12 +337,8 @@ def cmd_cavity_sweep(args) -> int:
 
 def cmd_stability_map(args) -> int:
     p0 = _load_params(args)
-    g_lo, g_hi = args.gain_range
-    c_lo, c_hi = args.coop_range
-    if not (g_lo < g_hi and c_lo < c_hi):
-        raise ConfigError("grid ranges must satisfy lo < hi")
-    gains = np.linspace(g_lo, g_hi, args.gain_points)
-    coops = np.linspace(c_lo, c_hi, args.coop_points)
+    gains = _grid(args.gain_range, args.gain_points, "--gain-points")
+    coops = _grid(args.coop_range, args.coop_points, "--coop-points")
     tasks = [(float(g), float(c), p0) for g in gains for c in coops]
     results = _pool_map(_stability_row, tasks, args.workers)
     columns = ["G_over_kappa", "cooperativity", "cond1", "cond2", "cond3",
@@ -341,16 +352,18 @@ def cmd_stability_map(args) -> int:
 # ---------------------------------------------------------------------------
 # spectrum / detection subcommands
 
-def cmd_spectrum(args) -> int:
+def _stationary_grid(args) -> tuple[SystemParams, SteadyState, np.ndarray]:
+    # the working point, refused when it has no stationary state, and the
+    # checked omega grid of the spectrum commands
     p = _load_params(args)
     ss = solve_steady_state(p)
-    report = routh_hurwitz(p, ss)
-    if not report.stable:
+    if not routh_hurwitz(p, ss).stable:
         raise UnstableSystem("no stationary spectrum: operating point is unstable")
-    lo, hi = args.omega_range
-    if not lo < hi:
-        raise ConfigError("omega range must satisfy lo < hi")
-    omega = np.linspace(lo, hi, args.points)
+    return p, ss, _grid(args.omega_range, args.points, "--points")
+
+
+def cmd_spectrum(args) -> int:
+    p, ss, omega = _stationary_grid(args)
     sample = spectrum(omega, ss, p)
     rows = list(zip(omega.tolist(), sample.S_Q.tolist(), sample.S_P.tolist()))
     meta = _params_metadata(p)
@@ -359,15 +372,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    p = _load_params(args)
-    ss = solve_steady_state(p)
-    report = routh_hurwitz(p, ss)
-    if not report.stable:
-        raise UnstableSystem("no stationary spectrum: operating point is unstable")
-    lo, hi = args.omega_range
-    if not lo < hi:
-        raise ConfigError("omega range must satisfy lo < hi")
-    omega = np.linspace(lo, hi, args.points)
+    p, ss, omega = _stationary_grid(args)
     values = spectrum_zout(omega, args.phi, ss, p)
     meta = _params_metadata(p)
     meta["phi"] = args.phi
@@ -386,22 +391,11 @@ def cmd_detect(args) -> int:
 
 
 def cmd_detect_map(args) -> int:
-    p = _load_params(args)
-    ss = solve_steady_state(p)
-    report = routh_hurwitz(p, ss)
-    if not report.stable:
-        raise UnstableSystem("no stationary spectrum: operating point is unstable")
-    o_lo, o_hi = args.omega_range
-    p_lo, p_hi = args.phi_range
-    if not (o_lo < o_hi and p_lo < p_hi):
-        raise ConfigError("grid ranges must satisfy lo < hi")
-    omega = np.linspace(o_lo, o_hi, args.points)
-    phis = np.linspace(p_lo, p_hi, args.phi_points)
-    rows = []
-    for phi in phis:
-        values = spectrum_zout(omega, float(phi), ss, p)
-        rows.extend((float(w), float(phi), float(s))
-                    for w, s in zip(omega, values))
+    p, ss, omega = _stationary_grid(args)
+    phis = _grid(args.phi_range, args.phi_points, "--phi-points")
+    values = detection_map(omega, phis, ss, p)
+    rows = [(w, phi, s) for phi, column in zip(phis.tolist(), values.T.tolist())
+            for w, s in zip(omega.tolist(), column)]
     meta = _params_metadata(p)
     meta["grid"] = f"{args.points}x{args.phi_points}"
     _write_table(args, ["omega", "phi", "S_zout"], rows, meta)
@@ -487,7 +481,8 @@ def cmd_oracle(args) -> int:
 
 
 def _draw_mech_params(rng: np.random.Generator) -> SystemParams:
-    # rejection-sample a comfortably stable working point
+    """Rejection-sample a comfortably stable working point over the
+    supported ranges: validate's quadrature draws and the test suite's."""
     while True:
         p = SystemParams(
             gamma_m=float(10.0 ** rng.uniform(-5.0, math.log10(0.05))),
@@ -524,6 +519,8 @@ def _draw_sde_case(rng: np.random.Generator, seed: int) -> tuple[SystemParams, S
 
 
 def cmd_validate(args) -> int:
+    _check_count("--quad-draws", args.quad_draws)
+    _check_count("--sde-draws", args.sde_draws)
     rng = np.random.default_rng(args.seed)
     t_start = time.perf_counter()
 
@@ -615,19 +612,24 @@ def _add_sweep_flags(sub, points: int) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # accepted before and after the subcommand; SUPPRESS keeps a subcommand
+    # that was not given the flag from resetting the top-level value
+    logging_flags = argparse.ArgumentParser(add_help=False)
+    logging_flags.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
+                               help="log warnings and errors only")
+    logging_flags.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
+                               help="log debug detail")
     parser = _Parser(
         prog="omsqueeze",
         description="Quadrature squeezing of a mirror in a driven cavity "
                     "with an intracavity parametric amplifier.",
+        parents=[logging_flags],
     )
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
-    parser.add_argument("--quiet", action="store_true",
-                        help="log warnings and errors only")
-    parser.add_argument("--verbose", action="store_true", help="log debug detail")
     subs = parser.add_subparsers(dest="command_name", required=True, metavar="COMMAND")
 
-    sub = subs.add_parser("sweep-gain",
+    sub = subs.add_parser("sweep-gain", parents=[logging_flags],
                           help="momentum variance vs parametric gain")
     _add_param_flags(sub)
     _add_sweep_flags(sub, 50)
@@ -635,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub, "sweep-gain.csv")
     sub.set_defaults(func=cmd_sweep_gain)
 
-    sub = subs.add_parser("sweep-cooperativity",
+    sub = subs.add_parser("sweep-cooperativity", parents=[logging_flags],
                           help="momentum variance vs cooperativity")
     _add_param_flags(sub)
     _add_sweep_flags(sub, 50)
@@ -643,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub, "sweep-cooperativity.csv")
     sub.set_defaults(func=cmd_sweep_cooperativity)
 
-    sub = subs.add_parser("sweep-temperature",
+    sub = subs.add_parser("sweep-temperature", parents=[logging_flags],
                           help="momentum variance vs bath temperature")
     _add_param_flags(sub)
     _add_sweep_flags(sub, 21)
@@ -651,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub, "sweep-temperature.csv")
     sub.set_defaults(func=cmd_sweep_temperature)
 
-    sub = subs.add_parser("spectrum",
+    sub = subs.add_parser("spectrum", parents=[logging_flags],
                           help="mirror quadrature spectra on a frequency grid")
     _add_param_flags(sub)
     sub.add_argument("--omega-range", nargs=2, type=float, default=(-0.5, 0.5),
@@ -660,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub, "spectrum.csv")
     sub.set_defaults(func=cmd_spectrum)
 
-    sub = subs.add_parser("detect",
+    sub = subs.add_parser("detect", parents=[logging_flags],
                           help="homodyne output spectrum at one phase")
     _add_param_flags(sub)
     sub.add_argument("--phi", type=parse_angle, default=math.pi / 2,
@@ -671,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub, "detect.csv")
     sub.set_defaults(func=cmd_detect)
 
-    sub = subs.add_parser("detect-map",
+    sub = subs.add_parser("detect-map", parents=[logging_flags],
                           help="homodyne output spectrum over (omega, phi)")
     _add_param_flags(sub)
     sub.add_argument("--omega-range", nargs=2, type=float, default=(-0.05, 0.05),
@@ -683,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub, "detect-map.csv")
     sub.set_defaults(func=cmd_detect_map)
 
-    sub = subs.add_parser("cavity-sweep",
+    sub = subs.add_parser("cavity-sweep", parents=[logging_flags],
                           help="empty-cavity phase quadrature variance vs gain")
     _add_param_flags(sub)
     _add_sweep_flags(sub, 50)
@@ -691,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub, "cavity-sweep.csv")
     sub.set_defaults(func=cmd_cavity_sweep)
 
-    sub = subs.add_parser("stability-map",
+    sub = subs.add_parser("stability-map", parents=[logging_flags],
                           help="stability conditions on a (gain, cooperativity) grid")
     _add_param_flags(sub)
     sub.add_argument("--gain-range", nargs=2, type=float, default=(0.0, 1.0),
@@ -704,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub, "stability-map.csv")
     sub.set_defaults(func=cmd_stability_map)
 
-    sub = subs.add_parser("analytic",
+    sub = subs.add_parser("analytic", parents=[logging_flags],
                           help="closed-form variances beside the full model")
     _add_param_flags(sub)
     sub.add_argument("--eta", type=float,
@@ -712,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub, "analytic.csv")
     sub.set_defaults(func=cmd_analytic)
 
-    sub = subs.add_parser("oracle",
+    sub = subs.add_parser("oracle", parents=[logging_flags],
                           help="stochastic-trajectory variance estimate")
     _add_param_flags(sub)
     sub.add_argument("--dt", type=float, help="time step, units of 1/kappa")
@@ -724,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sub, "oracle.csv")
     sub.set_defaults(func=cmd_oracle)
 
-    sub = subs.add_parser("validate",
+    sub = subs.add_parser("validate", parents=[logging_flags],
                           help="three-way agreement suite (quadrature, Lyapunov, SDE)")
     sub.add_argument("--seed", type=int, default=7)
     sub.add_argument("--quad-draws", type=int, default=100)

@@ -152,12 +152,12 @@ def _slowest_decay(p: SystemParams, g: complex) -> float:
     return min(rates)
 
 
-def quadrature_variances(ss: SteadyState, p: SystemParams,
-                         abs_tol: float = 1e-8) -> VariancePair:
+def quadrature_variances(ss: SteadyState, p: SystemParams) -> VariancePair:
     """Stationary quadrature variances by integrating the spectra.
 
-    Raises UnstableSystem when the operating point is unstable or close
-    enough to marginal that the integral cannot converge.
+    S_Q and S_P are integrated together in one adaptive pass. Raises
+    UnstableSystem when the operating point is unstable or close enough to
+    marginal that the integral cannot converge.
     """
     report = routh_hurwitz(p, ss)
     if not report.stable:
@@ -167,19 +167,16 @@ def quadrature_variances(ss: SteadyState, p: SystemParams,
 
     worst_imag = 0.0
 
-    def make_integrand(which: str):
-        def f(om: np.ndarray) -> np.ndarray:
-            nonlocal worst_imag
-            s = spectrum(om, ss, p)
-            worst_imag = max(worst_imag, s.im_residual)
-            return s.S_Q if which == "Q" else s.S_P
-        return f
+    def f(om: np.ndarray) -> np.ndarray:
+        nonlocal worst_imag
+        s = spectrum(om, ss, p)
+        worst_imag = max(worst_imag, s.im_residual)
+        return np.stack([s.S_Q, s.S_P])
 
-    var_q = integrate_line(make_integrand("Q"), abs_tol=abs_tol) / (2.0 * np.pi)
-    var_p = integrate_line(make_integrand("P"), abs_tol=abs_tol) / (2.0 * np.pi)
+    var_q, var_p = integrate_line(f) / (2.0 * np.pi)
     if worst_imag > _IMAG_TOL:
         raise ModelError(f"spectrum imaginary residual {worst_imag:.3e}")
-    return VariancePair(var_q=var_q, var_p=var_p)
+    return VariancePair(var_q=float(var_q), var_p=float(var_p))
 
 
 def squeezing_db(variance: float) -> float:

@@ -128,8 +128,7 @@ def spectrum_zout(omega, phi: float, ss: SteadyState, p: SystemParams):
     return S.real
 
 
-def find_band(phi: float, ss: SteadyState, p: SystemParams,
-              edge_tol: float = _EDGE_TOL) -> SqueezingBand | None:
+def find_band(phi: float, ss: SteadyState, p: SystemParams) -> SqueezingBand | None:
     """Squeezing band of the output spectrum around zero frequency.
 
     Returns None when the spectrum at omega = 0 is at or above the vacuum
@@ -156,7 +155,7 @@ def find_band(phi: float, ss: SteadyState, p: SystemParams,
     if lo >= cap:
         edge = cap   # sub-vacuum all the way out; report the cap as the edge
     else:
-        while hi - lo > edge_tol:
+        while hi - lo > _EDGE_TOL:
             mid = 0.5 * (lo + hi)
             if s(mid) < 0.5:
                 lo = mid

@@ -29,7 +29,6 @@ import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.constants import hbar, k as k_B
 
 from .errors import ConfigError, NonConvergence, ZeroCoupling
 
@@ -50,6 +49,10 @@ __all__ = [
 # state in cooperativity mode when the caller does not supply g0.  Only
 # the product g = g0*c_s matters downstream.
 _DEFAULT_G0 = 1e-4
+
+# exact in the 2019 SI: hbar = h / (2 pi) from the defined h, and k_B
+hbar = 6.62607015e-34 / (2 * math.pi)
+k_B = 1.380649e-23
 
 _PICARD_DAMPING = 0.5
 _PICARD_CAP = 10_000
@@ -231,23 +234,16 @@ def _epsilon_from_power(p: SystemParams) -> float:
     return eps_phys / p.kappa_phys
 
 
-def _photon_number_cubic(p: SystemParams, eps: float) -> tuple[int, bool]:
-    """Count real positive roots of the photon-number cubic.
+def _photon_number_cubic(p: SystemParams, xi: float, eps: float) -> list[float]:
+    """Real positive roots of the photon-number cubic.
 
-    Returns (count, ambiguous). The cubic restates the fixed point as a
-    polynomial in n = |c_s|^2, which is the standard bistability check.
+    The cubic restates the fixed point as a polynomial in n = |c_s|^2;
+    three positive roots is the standard bistability signature.
     """
-    g0 = p.g0
-    xi = 2.0 * g0**2 * p.omega_m / (p.gamma_m**2 / 4 + p.omega_m**2)
     d0 = p.delta
-    if xi == 0.0:
-        return 1, False
-    coeffs = [xi**2, -2.0 * d0 * xi, p.kappa**2 + d0**2, -eps**2]
-    roots = np.roots(coeffs)
+    roots = np.roots([xi**2, -2.0 * d0 * xi, p.kappa**2 + d0**2, -eps**2])
     scale = max(abs(r) for r in roots) or 1.0
-    real_pos = [r.real for r in roots
-                if abs(r.imag) < 1e-9 * scale and r.real > 0]
-    return len(real_pos), len(real_pos) >= 3
+    return [r.real for r in roots if abs(r.imag) < 1e-9 * scale and r.real > 0]
 
 
 def solve_steady_state(p: SystemParams) -> SteadyState:
@@ -306,27 +302,25 @@ def solve_steady_state(p: SystemParams) -> SteadyState:
             break
         c = (1.0 - _PICARD_DAMPING) * c + _PICARD_DAMPING * target
 
-    n_roots, ambiguous = _photon_number_cubic(p, eps)
+    xi = 2.0 * g0**2 * p.omega_m / (p.gamma_m**2 / 4 + p.omega_m**2)
+    roots = _photon_number_cubic(p, xi, eps)
 
-    if residual >= _RESIDUAL_TOL and n_roots == 1:
+    if residual >= _RESIDUAL_TOL and len(roots) == 1:
         # iteration stalled but the fixed point is unique: take the cubic root
-        xi = 2.0 * g0**2 * p.omega_m / (p.gamma_m**2 / 4 + p.omega_m**2)
-        roots = np.roots([xi**2, -2.0 * d0 * xi, p.kappa**2 + d0**2, -eps**2])
-        n = max(r.real for r in roots if abs(r.imag) < 1e-9 * max(1.0, abs(r)))
-        c = eps / (p.kappa + 1j * (d0 - xi * n))
+        c = eps / (p.kappa + 1j * (d0 - xi * roots[0]))
         target = eps / (p.kappa + 1j * delta_of(c))
         residual = abs(c - target) / max(1.0, abs(c))
 
     if residual >= _RESIDUAL_TOL:
         raise NonConvergence(
             f"steady-state residual {residual:.3e} after {_PICARD_CAP} iterations "
-            f"(drive likely bistable; cubic has {n_roots} positive roots)"
+            f"(drive likely bistable; cubic has {len(roots)} positive roots)"
         )
 
     b = _mirror_amplitude(c, g0, p)
     return SteadyState(c_s=c, b_s=b, delta_eff=delta_of(c), g=g0 * c,
                        n_th_m=n_th_m, n_th_c=n_th_c, residual=residual,
-                       ambiguous=ambiguous)
+                       ambiguous=len(roots) >= 3)
 
 
 def optimal_theta(g: complex) -> float:

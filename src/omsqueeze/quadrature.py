@@ -6,9 +6,13 @@ even integrands decaying like omega^-2, so the engine maps the line to
 at the endpoints) and refines a Gauss-Kronrod 7/15 panel subdivision until
 the summed error estimate meets an absolute tolerance.
 
-The integrand callable must accept an ndarray of frequencies and return an
-ndarray of values; panels are evaluated in batches so per-call overhead
-stays off the sweep hot path.
+The integrand callable takes an ndarray of n frequencies and returns
+either n values or an (m, n) stack of m integrands that share the
+frequency axis, such as the two quadrature spectra of one working point.
+A stack is integrated in one pass: every component must meet the
+tolerance, and a panel is refined when its worst component needs it.
+Panels are evaluated in batches so per-call overhead stays off the sweep
+hot path.
 """
 from __future__ import annotations
 
@@ -43,37 +47,41 @@ _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])       # Gauss subs
 
 def gauss_kronrod_panel(f, lo: float, hi: float) -> tuple[float, float]:
     """Single G7/K15 panel over [lo, hi]: returns (integral, error estimate)."""
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    y = np.asarray(f(c + h * _XGK), dtype=float)
-    k15 = h * float(y @ _WGK)
-    g7 = h * float(y @ _WG)
-    return k15, abs(k15 - g7)
+    k15, err = _eval_panels(f, np.array([lo]), np.array([hi]))
+    return float(k15[0]), float(err[0])
 
 
 def _eval_panels(F, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # batched K15/G7 on many panels at once; F maps ndarray -> ndarray
+    # batched K15/G7 on many panels at once; F maps an ndarray of nodes to
+    # values of shape (n,) or (m, n), and the results have shape (P,) or (m, P)
     c = 0.5 * (los + his)
     h = 0.5 * (his - los)
     nodes = c[:, None] + h[:, None] * _XGK[None, :]
-    y = np.asarray(F(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    y = np.asarray(F(nodes.ravel()), dtype=float)
+    y = y.reshape(y.shape[:-1] + nodes.shape)
     k15 = h * (y @ _WGK)
     g7 = h * (y @ _WG)
     return k15, np.abs(k15 - g7)
 
 
 def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000,
-                   initial_panels: int = 8) -> float:
+                   initial_panels: int = 8):
     """Integrate ``f`` over the whole real line to absolute tolerance.
 
     Parameters
     ----------
     f : callable
-        Vectorized integrand; called with an ndarray of frequencies.
+        Vectorized integrand; called with an ndarray of n frequencies, it
+        returns n values or an (m, n) stack of m integrands.
     abs_tol : float
-        Target on the summed panel error estimates.
+        Target on the summed panel error estimates, met by every component.
     max_panels : int
         Subdivision cap; exceeding it raises QuadratureFailure.
+
+    Returns
+    -------
+    float or ndarray
+        The integral; an (m,) array when ``f`` returns a stack.
 
     Raises
     ------
@@ -86,35 +94,30 @@ def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000,
         return f(t) * (1.0 + t * t)
 
     edges = np.linspace(-np.pi / 2, np.pi / 2, initial_panels + 1)
-    los = list(edges[:-1])
-    his = list(edges[1:])
-    vals, errs = _eval_panels(F, np.array(los), np.array(his))
-    vals, errs = list(vals), list(errs)
+    los, his = edges[:-1], edges[1:]
+    vals, errs = _eval_panels(F, los, his)
 
     while True:
-        if not all(np.isfinite(v) for v in vals):
+        if not (np.isfinite(vals).all() and np.isfinite(errs).all()):
             raise QuadratureFailure("integrand returned non-finite values")
-        total_err = sum(errs)
-        if total_err <= abs_tol:
-            return float(sum(vals))
-        if len(vals) >= max_panels:
+        total_err = errs.sum(axis=-1)
+        if (total_err <= abs_tol).all():
+            total = vals.sum(axis=-1)
+            return float(total) if total.ndim == 0 else total
+        if los.size >= max_panels:
             raise QuadratureFailure(
-                f"error {total_err:.3e} > tol {abs_tol:.1e} at {len(vals)} panels"
+                f"error {total_err.max():.3e} > tol {abs_tol:.1e} at {los.size} panels"
             )
-        # split every panel holding more than its share of the budget
-        cut = max(abs_tol / max(len(vals), 1), 0.5 * max(errs))
-        idx = [i for i, e in enumerate(errs) if e >= cut]
-        if not idx:
-            idx = [int(np.argmax(errs))]
-        new_lo, new_hi = [], []
-        for i in idx:
-            mid = 0.5 * (los[i] + his[i])
-            new_lo.extend([los[i], mid])
-            new_hi.extend([mid, his[i]])
-        sub_vals, sub_errs = _eval_panels(F, np.array(new_lo), np.array(new_hi))
-        for i in sorted(idx, reverse=True):
-            del los[i], his[i], vals[i], errs[i]
-        los.extend(new_lo)
-        his.extend(new_hi)
-        vals.extend(sub_vals)
-        errs.extend(sub_errs)
+        # split every panel whose worst component holds more than its share
+        # of the budget; with finite errors the worst panel always qualifies
+        worst = errs.reshape(-1, los.size).max(axis=0)
+        split = worst >= max(abs_tol / los.size, 0.5 * worst.max())
+        mid = 0.5 * (los[split] + his[split])
+        new_lo = np.column_stack([los[split], mid]).ravel()
+        new_hi = np.column_stack([mid, his[split]]).ravel()
+        sub_vals, sub_errs = _eval_panels(F, new_lo, new_hi)
+        keep = ~split
+        los = np.concatenate([los[keep], new_lo])
+        his = np.concatenate([his[keep], new_hi])
+        vals = np.concatenate([vals[..., keep], sub_vals], axis=-1)
+        errs = np.concatenate([errs[..., keep], sub_errs], axis=-1)

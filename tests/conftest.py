@@ -2,10 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
 
-from omsqueeze import SystemParams, routh_hurwitz, solve_steady_state
+from omsqueeze import SystemParams, solve_steady_state
+from omsqueeze.cli import _draw_mech_params as draw_stable_params  # noqa: F401
 
 # deep-squeezing working point used across the suite: high cooperativity,
 # gain just under threshold, phase aligned with the coupling
@@ -20,19 +20,3 @@ def opt_params():
 @pytest.fixture(scope="session")
 def opt_state(opt_params):
     return solve_steady_state(opt_params)
-
-
-def draw_stable_params(rng: np.random.Generator,
-                       margin: float = 1e-8) -> SystemParams:
-    """Rejection-sample a stable working point over the supported ranges."""
-    while True:
-        p = SystemParams(
-            gamma_m=float(10.0 ** rng.uniform(-5.0, math.log10(0.05))),
-            cooperativity=float(rng.uniform(0.0, 500.0)),
-            G=float(rng.uniform(0.0, 0.49)),
-            theta=float(rng.uniform(0.0, 2.0 * math.pi)),
-            temperature=float(rng.choice([0.0, 0.01, 0.02])),
-        )
-        report = routh_hurwitz(p, solve_steady_state(p))
-        if report.stable and min(report.conditions) > margin:
-            return p

@@ -94,6 +94,8 @@ class TestDomainGuards:
             AdiabaticInputs(eta=400.0 + 1e-9, **kwargs)
         with pytest.raises(FeedbackUnstable):
             AdiabaticInputs(eta=-1e-9, **kwargs)
+        with pytest.raises(FeedbackUnstable):
+            AdiabaticInputs(eta=math.nan, **kwargs)
 
 
 class TestFeedback:

@@ -14,6 +14,7 @@ from omsqueeze import (
     quadrature_variances,
     solve_steady_state,
 )
+from omsqueeze import cavity_pa
 from omsqueeze.cavity_pa import _var_y_theta0
 
 
@@ -103,6 +104,14 @@ class TestVariances:
     def test_rejects_threshold(self):
         with pytest.raises(AboveThreshold):
             cavity_variances(cavity_only(0.5))
+
+    def test_one_quadrature_pass_for_both_variances(self, monkeypatch):
+        calls = []
+        engine = cavity_pa.integrate_line
+        monkeypatch.setattr(cavity_pa, "integrate_line",
+                            lambda f: calls.append(f) or engine(f))
+        cavity_variances(cavity_only(0.3, theta=0.5))
+        assert len(calls) == 1
 
 
 class TestAgainstMechanicalOptimum:

@@ -1,10 +1,15 @@
 """Command line interface: every subcommand, file formats, exit codes."""
 
 import json
-import math
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import omsqueeze
 from omsqueeze.cli import main, read_table
 
 OPT_FLAGS = ["--gamma-m", "1e-5", "--cooperativity", "400",
@@ -289,6 +294,8 @@ class TestExitCodes:
          "--points", "3", "--workers", "1"],
         ["analytic", "--gamma-m", "1e-5", "--cooperativity", "inf"],
         ["analytic", "--config", "fig3", "--theta", "2**3"],
+        ["analytic", "--config", "fig3", "--eta", "nan"],
+        ["detect", "--config", "fig8", "--omega-range", "0", "inf"],
     ])
     def test_non_finite_and_power_inputs(self, tmp_path, capsys, argv):
         code = main([*argv, "-o", str(tmp_path / "x.csv")])
@@ -303,3 +310,42 @@ class TestExitCodes:
                      "--gamma-m", "1e-5", "--cooperativity", "400",
                      "-o", str(tmp_path / "x.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["spectrum", "--config", "fig3", "--points", "0"], "--points"),
+        (["detect", "--config", "fig8", "--points", "0"], "--points"),
+        (["detect-map", "--config", "fig8", "--phi-points", "0"], "--phi-points"),
+        (["stability-map", *OPT_FLAGS, "--gain-points", "0", "--workers", "1"],
+         "--gain-points"),
+        (["validate", "--quad-draws", "0", "--workers", "1"], "--quad-draws"),
+        (["validate", "--sde-draws", "0", "--workers", "1"], "--sde-draws"),
+    ])
+    def test_counts_below_one_are_refused(self, tmp_path, capsys, argv, flag):
+        code = main([*argv, "-o", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"usage error: {flag} must be at least 1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestLoggingFlags:
+    @pytest.mark.parametrize("flag, level", [("--quiet", logging.WARNING),
+                                             ("--verbose", logging.DEBUG)])
+    @pytest.mark.parametrize("before", [True, False])
+    def test_accepted_before_and_after_the_subcommand(self, tmp_path, flag,
+                                                      level, before):
+        argv = ["analytic", "--config", "fig3", "-o", str(tmp_path / "x.csv")]
+        argv = [flag, *argv] if before else [*argv, flag]
+        assert main(argv) == 0
+        assert logging.getLogger("omsqueeze").level == level
+
+
+def test_import_leaves_scipy_out():
+    # scipy is a test dependency only; the runtime needs numpy alone
+    src = Path(omsqueeze.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, omsqueeze.cli; print('scipy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        check=True)
+    assert proc.stdout.strip() == "False"

@@ -73,6 +73,14 @@ class TestSolverProperties:
             assert np.abs(res).max() < 1e-10 * np.abs(dm.D).max()
             assert cov.residual < 1e-10
 
+    def test_one_linear_solve(self, opt_params, opt_state, monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: calls.append(a.shape) or solve(a, b))
+        steady_covariance(build_drift(opt_state, opt_params))
+        assert calls == [(10, 10)]
+
     def test_positive_definite(self):
         rng = np.random.default_rng(13)
         for _ in range(20):

@@ -20,6 +20,8 @@ from omsqueeze import (
     transfer_at,
 )
 
+from omsqueeze import mech_spectra
+
 from conftest import draw_stable_params
 
 
@@ -98,6 +100,15 @@ class TestVariances:
         pair = quadrature_variances(opt_state, opt_params)
         assert pair.var_p == pytest.approx(0.25319207581826186, rel=1e-10)
         assert pair.var_q == pytest.approx(24.993208987166163, rel=1e-10)
+
+    def test_one_quadrature_pass_for_both_variances(self, opt_state,
+                                                    opt_params, monkeypatch):
+        calls = []
+        engine = mech_spectra.integrate_line
+        monkeypatch.setattr(mech_spectra, "integrate_line",
+                            lambda f: calls.append(f) or engine(f))
+        quadrature_variances(opt_state, opt_params)
+        assert len(calls) == 1
 
     def test_agrees_with_lyapunov_on_random_draws(self):
         rng = np.random.default_rng(24)

@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from omsqueeze import params
 from omsqueeze import (
     ConfigError,
     SystemParams,
@@ -60,6 +61,11 @@ class TestThermalOccupation:
         omega, temp = 1e4, 1.0
         assert thermal_occupation(omega, temp) == pytest.approx(
             k * temp / (hbar * omega), rel=1e-3)
+
+    def test_constants_are_the_exact_si_values(self):
+        from scipy.constants import hbar, k
+        assert params.hbar == hbar
+        assert params.k_B == k
 
 
 class TestSystemParams:
@@ -132,6 +138,16 @@ class TestSteadyState:
         p_coop = SystemParams(gamma_m=1e-5, cooperativity=coop)
         ss_coop = solve_steady_state(p_coop)
         assert abs(ss_coop.g) == pytest.approx(abs(ss_pow.g), rel=1e-9)
+
+    def test_stalled_iteration_takes_the_unique_cubic_root(self):
+        # strong backaction: damped Picard stalls and the solve falls back
+        # to the single positive root of the photon-number cubic
+        p = SystemParams(gamma_m=1e-3, epsilon_l=2000.0, g0=1e-2, detuning=5.0)
+        ss = solve_steady_state(p)
+        assert ss.residual < 1e-12
+        assert not ss.ambiguous
+        assert abs(ss.c_s) ** 2 == pytest.approx(400000.0008275864, rel=1e-9)
+        assert ss.delta_eff == pytest.approx(-2.999999996551727, rel=1e-9)
 
     def test_occupations_attached(self):
         p = SystemParams(gamma_m=1e-5, cooperativity=400.0, temperature=0.01)

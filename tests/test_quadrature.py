@@ -72,6 +72,24 @@ class TestIntegrateLine:
         with pytest.raises(QuadratureFailure):
             integrate_line(lambda x: (1.0 + x * x) ** -0.25, max_panels=60)
 
+    def test_stacked_integrands_match_each_closed_form(self):
+        # a smooth and a narrow component share one adaptive pass
+        a = 1e-4
+
+        def f(x):
+            return np.stack([np.exp(-x * x), a / (x * x + a * a)])
+        got = integrate_line(f)
+        assert got.shape == (2,)
+        assert got[0] == pytest.approx(math.sqrt(math.pi), abs=1e-10)
+        assert got[1] == pytest.approx(math.pi, abs=1e-8)
+
+    def test_non_finite_component_raises(self):
+        def f(x):
+            bad = np.where(np.abs(x) < 0.01, np.nan, np.exp(-x * x))
+            return np.stack([np.exp(-x * x), bad])
+        with pytest.raises(QuadratureFailure):
+            integrate_line(f)
+
     def test_non_finite_integrand_raises(self):
         def f(x):
             out = np.asarray(np.exp(-np.asarray(x) ** 2), dtype=float)
