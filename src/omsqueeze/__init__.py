@@ -18,7 +18,6 @@ from .errors import (
     NonConvergence,
     NonPositiveVariance,
     QuadratureFailure,
-    SingularDenominator,
     SingularSolve,
     UnstableSystem,
     ZeroCoupling,
@@ -46,12 +45,10 @@ from .quadrature import integrate_line
 from .lyapunov import Covariance, steady_covariance
 from .mech_spectra import (
     SpectrumSample,
-    TransferSet,
     VariancePair,
     quadrature_variances,
     spectrum,
     squeezing_db,
-    transfer_at,
 )
 from .adiabatic import (
     AdiabaticInputs,
@@ -61,14 +58,12 @@ from .adiabatic import (
     feedback_variance_p,
 )
 from .output_detection import (
-    OutputCoeffs,
     SqueezingBand,
     detection_map,
     find_band,
-    output_coeffs,
     spectrum_zout,
 )
-from .cavity_pa import CavityCoeffs, cavity_coeffs, cavity_spectra, cavity_variances
+from .cavity_pa import cavity_spectra, cavity_variances
 from .sde_oracle import SimConfig, SimEstimate, simulate, suggest_config
 
 __version__ = "0.1.0"
@@ -82,7 +77,6 @@ __all__ = [
     "AboveThreshold",
     "AdiabaticInputs",
     "BACKEND",
-    "CavityCoeffs",
     "ConfigError",
     "Covariance",
     "DivergingTrajectory",
@@ -92,19 +86,16 @@ __all__ = [
     "ModelError",
     "NonConvergence",
     "NonPositiveVariance",
-    "OutputCoeffs",
     "QuadratureFailure",
     "RwaReport",
     "SimConfig",
     "SimEstimate",
-    "SingularDenominator",
     "SingularSolve",
     "SpectrumSample",
     "SqueezingBand",
     "StabilityReport",
     "SteadyState",
     "SystemParams",
-    "TransferSet",
     "UnstableSystem",
     "VariancePair",
     "ZeroCoupling",
@@ -112,7 +103,6 @@ __all__ = [
     "adiabatic_variance_p",
     "adiabatic_variance_p_approx",
     "build_drift",
-    "cavity_coeffs",
     "cavity_spectra",
     "cavity_variances",
     "detection_map",
@@ -122,7 +112,6 @@ __all__ = [
     "integrate_line",
     "load_config",
     "optimal_theta",
-    "output_coeffs",
     "params_from_mapping",
     "parse_angle",
     "quadrature_variances",
@@ -136,6 +125,5 @@ __all__ = [
     "steady_covariance",
     "suggest_config",
     "thermal_occupation",
-    "transfer_at",
     "__version__",
 ]

@@ -1,7 +1,9 @@
 """Baseline: parametric amplifier in a cavity, no mirror coupling.
 
 With the optomechanical coupling switched off the cavity quadratures close
-on themselves and their spectra follow from a 2x2 response. This is the
+on themselves and their spectra follow from a 2x2 response, evaluated by
+the package's one two-bath rule (mech_spectra ``_symmetrized``, with its
+one imaginary-residual tolerance) with the mirror bath left out. This is the
 reference against which the coupled system's mechanical squeezing is
 compared: at theta = 0 the intracavity phase quadrature squeezes by the
 same amount the mirror momentum does at the optimal phase.
@@ -11,37 +13,16 @@ has no stationary state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import cos, sin, sqrt
 
 import numpy as np
 
-from .errors import AboveThreshold, ModelError
+from .errors import AboveThreshold
+from .mech_spectra import _symmetrized
 from .params import SystemParams, thermal_occupation
 from .quadrature import integrate_line
 
-__all__ = [
-    "CavityCoeffs",
-    "cavity_coeffs",
-    "cavity_spectra",
-    "cavity_variances",
-]
-
-_IMAG_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class CavityCoeffs:
-    """Input-to-quadrature couplings of the empty driven cavity.
-
-    A3, B3 feed the amplitude quadrature; A4, B4 the phase quadrature.
-    B3 = A4 identically (the same PA cross term couples both ways).
-    """
-    omega: float
-    A3: complex
-    B3: complex
-    A4: complex
-    B4: complex
+__all__ = ["cavity_spectra", "cavity_variances"]
 
 
 def _threshold_guard(p: SystemParams) -> None:
@@ -52,6 +33,11 @@ def _threshold_guard(p: SystemParams) -> None:
 
 
 def _coeff_arrays(omega: np.ndarray, p: SystemParams):
+    """Input couplings (A3, B3, A4, B4) of the empty driven cavity.
+
+    A3, B3 feed the amplitude quadrature; A4, B4 the phase quadrature.
+    B3 = A4 identically (the same PA cross term couples both ways).
+    """
     k, G = p.kappa, p.G
     u = k - 1j * omega
     den = u * u - 4.0 * G * G
@@ -64,29 +50,17 @@ def _coeff_arrays(omega: np.ndarray, p: SystemParams):
     return A3, cross, cross, B4
 
 
-def cavity_coeffs(omega: float, p: SystemParams) -> CavityCoeffs:
-    _threshold_guard(p)
-    A3, B3, A4, B4 = _coeff_arrays(np.asarray(float(omega)), p)
-    return CavityCoeffs(
-        omega=float(omega),
-        A3=complex(A3), B3=complex(B3), A4=complex(A4), B4=complex(B4),
-    )
-
-
 def cavity_spectra(omega, p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrized amplitude and phase quadrature spectra (S_x, S_y)."""
     _threshold_guard(p)
     om = np.asarray(omega, dtype=float)
     A3p, B3p, A4p, B4p = _coeff_arrays(om, p)
     A3m, B3m, A4m, B4m = _coeff_arrays(-om, p)
-    nc = thermal_occupation(p.omega_c_phys, p.temperature) + 0.5
-    S_x = (A3p * A3m + B3p * B3m) * nc
-    S_y = (A4p * A4m + B4p * B4m) * nc
-    im_res = max(float(np.abs(np.atleast_1d(S_x).imag).max()),
-                 float(np.abs(np.atleast_1d(S_y).imag).max()))
-    if im_res > _IMAG_TOL:
-        raise ModelError(f"cavity spectrum imaginary residual {im_res:.3e}")
-    return S_x.real, S_y.real
+    (S_x, S_y), _ = _symmetrized(
+        [((A3p, B3p, 0.0, 0.0), (A3m, B3m, 0.0, 0.0)),
+         ((A4p, B4p, 0.0, 0.0), (A4m, B4m, 0.0, 0.0))],
+        thermal_occupation(p.omega_c_phys, p.temperature), 0.0)
+    return S_x, S_y
 
 
 def cavity_variances(p: SystemParams) -> tuple[float, float]:

@@ -17,10 +17,6 @@ class UnstableSystem(ModelError):
     """Requested a steady-state quantity for an unstable parameter point."""
 
 
-class SingularDenominator(ModelError):
-    """Transfer-function denominator vanished at the requested frequency."""
-
-
 class QuadratureFailure(ModelError):
     """Adaptive integration could not meet tolerance within the panel cap."""
 

@@ -7,6 +7,13 @@ frequency sharing a single quartic denominator; the symmetrized spectrum
 of a quadrature is then a two-term sum over the input baths, and its
 integral over the whole line gives the stationary variance.
 
+That sum, Re[(A+A- + B+B-)(n_c + 1/2) + (E+E- + F+F-)(n_m + 1/2)] with
+couplings at +-omega, is the one rule behind every spectrum in the
+package: ``_symmetrized`` evaluates it here, for the homodyne output
+(output_detection) and, without the mirror bath, for the empty cavity
+(cavity_pa). An imaginary leftover above the one tolerance ``_IMAG_TOL``
+raises ModelError.
+
 All frequencies are in cavity linewidth units, matching SystemParams.
 """
 from __future__ import annotations
@@ -16,24 +23,17 @@ from math import sqrt
 
 import numpy as np
 
-from .errors import (
-    ModelError,
-    NonPositiveVariance,
-    SingularDenominator,
-    UnstableSystem,
-)
+from .errors import ModelError, NonPositiveVariance, UnstableSystem
 from .params import SteadyState, SystemParams
 from .quadrature import integrate_line
 from .stability import routh_hurwitz
 
 __all__ = [
     "SpectrumSample",
-    "TransferSet",
     "VariancePair",
     "quadrature_variances",
     "spectrum",
     "squeezing_db",
-    "transfer_at",
 ]
 
 # slowest decay rate below this (units of kappa) puts a pole too near the
@@ -42,26 +42,6 @@ _MARGINAL_GUARD = 1e-9
 
 # symmetrized spectra are real; larger leftovers flag a coefficient bug
 _IMAG_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class TransferSet:
-    """Noise-to-quadrature transfer coefficients at one frequency.
-
-    A couples the optical quadrature to c_in, B to c_in^dag; E and F play
-    the same roles for the thermal inputs. Subscript 1 is the mirror Q
-    quadrature, subscript 2 is P. ``den`` is the shared denominator.
-    """
-    omega: float
-    A1: complex
-    B1: complex
-    E1: complex
-    F1: complex
-    A2: complex
-    B2: complex
-    E2: complex
-    F2: complex
-    den: complex
 
 
 @dataclass(frozen=True)
@@ -80,7 +60,12 @@ class VariancePair:
 
 
 def _coeffs(omega, ss: SteadyState, p: SystemParams):
-    """Vectorized transfer coefficients; returns (A1..F2, den) arrays."""
+    """Vectorized transfer coefficients; returns (A1..F2, den) arrays.
+
+    A couples a quadrature to c_in, B to c_in^dag; E and F play the same
+    roles for the thermal inputs. Subscript 1 is the mirror Q quadrature,
+    2 is P; E2 is F1 (both quadratures see one thermal cross term).
+    """
     g = ss.g
     G, k, gam = p.G, p.kappa, p.gamma_m
     gr, gi = g.real, g.imag
@@ -110,32 +95,31 @@ def _coeffs(omega, ss: SteadyState, p: SystemParams):
     return A1, B1, E1, F1, A2, B2, F1, F2, den
 
 
-def transfer_at(omega: float, ss: SteadyState, p: SystemParams) -> TransferSet:
-    """Transfer coefficients at a single frequency."""
-    A1, B1, E1, F1, A2, B2, E2, F2, den = _coeffs(float(omega), ss, p)
-    if abs(den) < 1e-300:
-        raise SingularDenominator(f"transfer denominator vanishes at omega={omega}")
-    return TransferSet(
-        omega=float(omega),
-        A1=complex(A1), B1=complex(B1), E1=complex(E1), F1=complex(F1),
-        A2=complex(A2), B2=complex(B2), E2=complex(E2), F2=complex(F2),
-        den=complex(den),
-    )
+def _symmetrized(pairs, n_c: float, n_m: float) -> tuple[list, float]:
+    """Symmetrized two-bath spectra and the largest imaginary leftover.
+
+    Each entry of ``pairs`` is ((A, B, E, F) at +omega, (A, B, E, F) at
+    -omega) for one quadrature; the result holds one real spectrum per
+    entry. Raises ModelError when the leftover passes ``_IMAG_TOL``.
+    """
+    nc = n_c + 0.5
+    nm = n_m + 0.5
+    raw = [(Ap * Am + Bp * Bm) * nc + (Ep * Em + Fp * Fm) * nm
+           for (Ap, Bp, Ep, Fp), (Am, Bm, Em, Fm) in pairs]
+    im_res = max(float(np.abs(np.atleast_1d(S).imag).max()) for S in raw)
+    if im_res > _IMAG_TOL:
+        raise ModelError(f"spectrum imaginary residual {im_res:.3e}")
+    return [S.real for S in raw], im_res
 
 
 def spectrum(omega, ss: SteadyState, p: SystemParams) -> SpectrumSample:
     """Symmetrized spectra S_Q and S_P on a frequency grid."""
     om = np.atleast_1d(np.asarray(omega, dtype=float))
-    A1p, B1p, E1p, F1p, A2p, B2p, E2p, F2p, _ = _coeffs(om, ss, p)
-    A1m, B1m, E1m, F1m, A2m, B2m, E2m, F2m, _ = _coeffs(-om, ss, p)
-
-    nc = ss.n_th_c + 0.5
-    nm = ss.n_th_m + 0.5
-    SQ = (A1p * A1m + B1p * B1m) * nc + (E1p * E1m + F1p * F1m) * nm
-    SP = (A2p * A2m + B2p * B2m) * nc + (E2p * E2m + F2p * F2m) * nm
-
-    im_res = float(max(np.abs(SQ.imag).max(), np.abs(SP.imag).max()))
-    return SpectrumSample(omega=om, S_Q=SQ.real, S_P=SP.real, im_residual=im_res)
+    plus = _coeffs(om, ss, p)
+    minus = _coeffs(-om, ss, p)
+    (S_Q, S_P), im_res = _symmetrized(
+        [(plus[:4], minus[:4]), (plus[4:8], minus[4:8])], ss.n_th_c, ss.n_th_m)
+    return SpectrumSample(omega=om, S_Q=S_Q, S_P=S_P, im_residual=im_res)
 
 
 def _slowest_decay(p: SystemParams, g: complex) -> float:
@@ -165,17 +149,11 @@ def quadrature_variances(ss: SteadyState, p: SystemParams) -> VariancePair:
     if _slowest_decay(p, ss.g) < _MARGINAL_GUARD * p.kappa:
         raise UnstableSystem("operating point too close to marginal stability")
 
-    worst_imag = 0.0
-
     def f(om: np.ndarray) -> np.ndarray:
-        nonlocal worst_imag
         s = spectrum(om, ss, p)
-        worst_imag = max(worst_imag, s.im_residual)
         return np.stack([s.S_Q, s.S_P])
 
     var_q, var_p = integrate_line(f) / (2.0 * np.pi)
-    if worst_imag > _IMAG_TOL:
-        raise ModelError(f"spectrum imaginary residual {worst_imag:.3e}")
     return VariancePair(var_q=float(var_q), var_p=float(var_p))
 
 

@@ -3,10 +3,11 @@
 The input-output relation c_out = sqrt(2 kappa) c - c_in turns the
 intracavity solution into the travelling field a detector sees. Mixing
 c_out with a local oscillator of phase phi selects one output quadrature;
-its symmetrized spectrum is again a two-bath sum built from combinations
-of the intracavity transfer coefficients, and frequencies where it drops
-below the vacuum level 1/2 witness the mechanical squeezing in the
-detected beam.
+its symmetrized spectrum is again the two-bath sum of mech_spectra
+(``_symmetrized``, one imaginary-residual tolerance for the package),
+with couplings built from combinations of the intracavity transfer
+coefficients, and frequencies where it drops below the vacuum level 1/2
+witness the mechanical squeezing in the detected beam.
 
 Note the mechanical-noise routes into the output quadrature reuse the
 optical-input coefficients of the mirror quadratures with a -sqrt(gamma_m)
@@ -20,43 +21,14 @@ from math import cos, sin, sqrt
 
 import numpy as np
 
-from .errors import ModelError, SingularDenominator
 from .params import SteadyState, SystemParams
-from .mech_spectra import _coeffs
+from .mech_spectra import _coeffs, _symmetrized
 
-__all__ = [
-    "OutputCoeffs",
-    "SqueezingBand",
-    "detection_map",
-    "find_band",
-    "output_coeffs",
-    "spectrum_zout",
-]
+__all__ = ["SqueezingBand", "detection_map", "find_band", "spectrum_zout"]
 
-_IMAG_TOL = 1e-6
 _EDGE_TOL = 1e-5      # bisection tolerance on band edges, units of kappa
 _SEARCH_CAP = 10.0    # outward march limit, units of kappa
 _VACUUM_MARGIN = 1e-12  # below vacuum by less than this is not a band
-
-
-@dataclass(frozen=True)
-class OutputCoeffs:
-    """Noise-to-output-quadrature couplings at one frequency and phase.
-
-    I, R, J describe the optical input reflecting off the driven cavity
-    (I: in-phase, J: conjugate quadrature, R: cross term from the PA); at
-    phi = 0 the output quadrature reads (A_z, B_z) = (I, R), at phi = pi/2
-    it reads (R, J). E_z and F_z carry the mirror noise to the detector.
-    """
-    omega: float
-    phi: float
-    A_z: complex
-    B_z: complex
-    E_z: complex
-    F_z: complex
-    I: complex
-    R: complex
-    J: complex
 
 
 @dataclass(frozen=True)
@@ -75,7 +47,12 @@ class SqueezingBand:
 
 def _output_arrays(omega: np.ndarray, phi: float, ss: SteadyState,
                    p: SystemParams):
-    """Vectorized A_z, B_z, E_z, F_z plus the intermediates I, R, J."""
+    """Vectorized output couplings (A_z, B_z, E_z, F_z).
+
+    (A_z, B_z) reads (I, R) at phi = 0 and (R, J) at phi = pi/2: the optical
+    input reflected in phase, through the PA cross term and conjugated.
+    E_z and F_z carry the mirror noise to the detector.
+    """
     A1, B1, _, _, A2, B2, _, _, den = _coeffs(omega, ss, p)
     g2 = abs(ss.g) ** 2
     G, k, gam = p.G, p.kappa, p.gamma_m
@@ -93,22 +70,7 @@ def _output_arrays(omega: np.ndarray, phi: float, ss: SteadyState,
     B_z = R * cphi + J * sphi
     E_z = -sg * (A1 * cphi + B1 * sphi)
     F_z = -sg * (A2 * cphi + B2 * sphi)
-    return A_z, B_z, E_z, F_z, I, R, J, den
-
-
-def output_coeffs(omega: float, phi: float, ss: SteadyState,
-                  p: SystemParams) -> OutputCoeffs:
-    """Output-field coupling coefficients at a single frequency."""
-    om = np.asarray(float(omega))
-    A_z, B_z, E_z, F_z, I, R, J, den = _output_arrays(om, phi, ss, p)
-    if abs(complex(den)) < 1e-300:
-        raise SingularDenominator(f"response denominator vanishes at omega={omega}")
-    return OutputCoeffs(
-        omega=float(omega), phi=float(phi),
-        A_z=complex(A_z), B_z=complex(B_z),
-        E_z=complex(E_z), F_z=complex(F_z),
-        I=complex(I), R=complex(R), J=complex(J),
-    )
+    return A_z, B_z, E_z, F_z
 
 
 def spectrum_zout(omega, phi: float, ss: SteadyState, p: SystemParams):
@@ -117,15 +79,10 @@ def spectrum_zout(omega, phi: float, ss: SteadyState, p: SystemParams):
     Returns an array matching the shape of ``omega`` (scalar in, 0-d out).
     """
     om = np.asarray(omega, dtype=float)
-    Ap, Bp, Ep, Fp, _, _, _, _ = _output_arrays(om, phi, ss, p)
-    Am, Bm, Em, Fm, _, _, _, _ = _output_arrays(-om, phi, ss, p)
-    nc = ss.n_th_c + 0.5
-    nm = ss.n_th_m + 0.5
-    S = (Ap * Am + Bp * Bm) * nc + (Ep * Em + Fp * Fm) * nm
-    im_res = float(np.abs(np.atleast_1d(S).imag).max())
-    if im_res > _IMAG_TOL:
-        raise ModelError(f"output spectrum imaginary residual {im_res:.3e}")
-    return S.real
+    (S,), _ = _symmetrized(
+        [(_output_arrays(om, phi, ss, p), _output_arrays(-om, phi, ss, p))],
+        ss.n_th_c, ss.n_th_m)
+    return S
 
 
 def find_band(phi: float, ss: SteadyState, p: SystemParams) -> SqueezingBand | None:

@@ -9,11 +9,12 @@ from omsqueeze import (
     SystemParams,
     detection_map,
     find_band,
-    output_coeffs,
     quadrature_variances,
     solve_steady_state,
     spectrum_zout,
 )
+
+from omsqueeze.output_detection import _output_arrays
 
 PHASE_QUAD = math.pi / 2
 
@@ -25,34 +26,46 @@ def point(G: float = 0.49, cooperativity: float = 400.0,
     return solve_steady_state(p), p
 
 
+def output_coeffs(omega: float, phi: float, ss, p) -> tuple:
+    """(A_z, B_z, E_z, F_z) at one frequency."""
+    return _output_arrays(np.asarray(float(omega)), phi, ss, p)
+
+
 class TestOutputCoeffs:
+    # the reflection couplings I, R, J are the output couplings read at the
+    # two reference phases: (A_z, B_z) = (I, R) at phi = 0, (R, J) at pi/2
     def test_phase_convention(self):
         ss, p = point()
-        c0 = output_coeffs(0.37, 0.0, ss, p)
-        assert c0.A_z == c0.I and c0.B_z == c0.R
-        c90 = output_coeffs(0.37, PHASE_QUAD, ss, p)
-        assert c90.A_z == pytest.approx(c90.R, rel=1e-15)
-        assert c90.B_z == pytest.approx(c90.J, rel=1e-15)
+        I, R, _, _ = output_coeffs(0.37, 0.0, ss, p)
+        A90, B90, _, _ = output_coeffs(0.37, PHASE_QUAD, ss, p)
+        assert A90 == pytest.approx(R, rel=1e-15)
+        # a general phase rotates the two readings into each other
+        phi = 0.3
+        A, B, _, _ = output_coeffs(0.37, phi, ss, p)
+        assert A == I * math.cos(phi) + R * math.sin(phi)
+        assert B == pytest.approx(R * math.cos(phi) + B90 * math.sin(phi),
+                                  rel=1e-15)
 
     def test_empty_cavity_reflects_vacuum(self):
         # no coupling, no gain: input reflects with unit magnitude
         ss, p = point(G=0.0, cooperativity=0.0)
         for om in (0.0, 0.3, -1.7, 5.0):
-            c = output_coeffs(om, 0.0, ss, p)
-            assert abs(c.I) == pytest.approx(1.0, rel=1e-12)
-            assert c.R == 0.0
+            I, R, _, _ = output_coeffs(om, 0.0, ss, p)
+            assert abs(I) == pytest.approx(1.0, rel=1e-12)
+            assert R == 0.0
 
     def test_zero_phase_kills_cross_term(self):
         ss, p = point(theta=0.0)
         for om in (0.0, 0.2, 1.1):
-            assert output_coeffs(om, 0.3, ss, p).R == 0.0
+            _, R, _, _ = output_coeffs(om, 0.0, ss, p)
+            assert R == 0.0
 
     def test_mirror_noise_blocked_without_coupling(self):
         ss, p = point(cooperativity=0.0)
         for om in (0.0, 0.5):
-            c = output_coeffs(om, PHASE_QUAD, ss, p)
-            assert c.E_z == 0.0
-            assert c.F_z == 0.0
+            _, _, E_z, F_z = output_coeffs(om, PHASE_QUAD, ss, p)
+            assert E_z == 0.0
+            assert F_z == 0.0
 
 
 class TestSpectrumZout:
