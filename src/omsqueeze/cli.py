@@ -12,12 +12,14 @@ with empty value fields. A ``.jsonl`` mirror with the same stem carries
 the metadata object followed by one JSON object per row.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
-failure.
+failure, including arithmetic overflow and a non-finite result, which is
+refused before any file is written.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -58,7 +60,7 @@ from .params import (
     rwa_flags,
     solve_steady_state,
 )
-from .sde_oracle import SimConfig, simulate, suggest_config
+from .sde_oracle import SimConfig, _rates, simulate, suggest_config
 from .stability import build_drift, routh_hurwitz
 
 _log = logging.getLogger("omsqueeze")
@@ -138,6 +140,11 @@ def _write_table(args, columns: list[str], rows: list[tuple],
     meta.update(metadata)
     if not args.no_timestamp:
         meta["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    # exit 0 promises finite numbers; empty fields of flagged rows are None
+    for key, value in itertools.chain(meta.items(),
+                                      *(zip(columns, row) for row in rows)):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ModelError(f"non-finite result: {key} = {value}")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fh = open(path, "w", encoding="utf-8", newline="")
@@ -275,12 +282,9 @@ def _grid(bounds: tuple[float, float], points: int, flag: str) -> np.ndarray:
 
 
 def _sweep_range(args, default_lo: float, default_hi: float) -> np.ndarray:
-    lo, hi = args.range if args.range else (default_lo, default_hi)
     if args.points < 2:
         raise ConfigError("a sweep needs at least 2 points")
-    if not lo < hi:
-        raise ConfigError(f"sweep range must satisfy lo < hi, got [{lo}, {hi}]")
-    return np.linspace(lo, hi, args.points)
+    return _grid(args.range or (default_lo, default_hi), args.points, "--points")
 
 
 def _emit_sweep(args, p0: SystemParams, column: str, values: np.ndarray,
@@ -480,6 +484,14 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _stable_state(p: SystemParams) -> SteadyState | None:
+    """The steady state of p if it is stable with every Routh-Hurwitz
+    condition above 1e-8, else None."""
+    ss = solve_steady_state(p)
+    report = routh_hurwitz(p, ss)
+    return ss if report.stable and min(report.conditions) > 1e-8 else None
+
+
 def _draw_mech_params(rng: np.random.Generator) -> SystemParams:
     """Rejection-sample a comfortably stable working point over the
     supported ranges: validate's quadrature draws and the test suite's."""
@@ -491,9 +503,7 @@ def _draw_mech_params(rng: np.random.Generator) -> SystemParams:
             theta=float(rng.uniform(0.0, 2.0 * math.pi)),
             temperature=float(rng.choice([0.0, 0.01, 0.02])),
         )
-        ss = solve_steady_state(p)
-        report = routh_hurwitz(p, ss)
-        if report.stable and min(report.conditions) > 1e-8:
+        if _stable_state(p) is not None:
             return p
 
 
@@ -507,13 +517,11 @@ def _draw_sde_case(rng: np.random.Generator, seed: int) -> tuple[SystemParams, S
             G=float(rng.uniform(0.0, 0.45)),
             theta=float(rng.uniform(0.0, 2.0 * math.pi)),
         )
-        ss = solve_steady_state(p)
-        report = routh_hurwitz(p, ss)
-        if not (report.stable and min(report.conditions) > 1e-8):
+        ss = _stable_state(p)
+        if ss is None:
             continue
         dm = build_drift(ss, p)
-        slowest = float((-np.linalg.eigvals(dm.M).real).min())
-        if slowest < 0.02 * p.kappa:
+        if _rates(dm.M)[1] < 0.02 * p.kappa:
             continue
         return p, suggest_config(dm, seed=seed, n_traj=16)
 
@@ -761,6 +769,9 @@ def main(argv=None) -> int:
         return 1
     except ModelError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -106,7 +106,7 @@ def _symmetrized(pairs, n_c: float, n_m: float) -> tuple[list, float]:
     nm = n_m + 0.5
     raw = [(Ap * Am + Bp * Bm) * nc + (Ep * Em + Fp * Fm) * nm
            for (Ap, Bp, Ep, Fp), (Am, Bm, Em, Fm) in pairs]
-    im_res = max(float(np.abs(np.atleast_1d(S).imag).max()) for S in raw)
+    im_res = max([float(np.abs(S.imag).max()) for S in raw])
     if im_res > _IMAG_TOL:
         raise ModelError(f"spectrum imaginary residual {im_res:.3e}")
     return [S.real for S in raw], im_res

@@ -339,11 +339,7 @@ def optimal_theta(g: complex) -> float:
 # ---------------------------------------------------------------------------
 # config-file ingestion (flat key = value, '#' comments)
 
-_FLOAT_KEYS = {
-    "kappa", "omega_m", "gamma_m", "G", "theta", "cooperativity",
-    "epsilon_l", "laser_power", "g0", "kappa_phys", "temperature",
-    "omega_m_phys", "omega_c_phys", "detuning",
-}
+_FLOAT_KEYS = frozenset(f.name for f in fields(SystemParams))
 _ANGLE_KEYS = {"theta", "detuning"}
 
 

@@ -43,6 +43,9 @@ _DIVERGENCE_LIMIT = 1e6
 _DT_FRACTION = 0.25          # suggested step: this over the fastest rate
 _BURN_FACTOR = 10.0          # burn-in floor: this over the slowest rate
 _TAYLOR_TERMS = 18           # exact to rounding once the norm is <= 1/2
+# trajectory steps (burn-in plus measured) a schedule may ask for; far above
+# every schedule suggest_config picks, far below a run that never ends
+_MAX_STEPS = 1e9
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,7 @@ class SimConfig:
     """Sampling schedule, in units of 1/kappa.
 
     ``duration`` is the measured stretch after ``burn_in`` is discarded.
+    A schedule of more than 1e9 steps is refused.
     """
     dt: float
     duration: float
@@ -67,6 +71,11 @@ class SimConfig:
         if self.duration < self.dt * _N_BATCHES:
             raise ConfigError(
                 f"duration too short for {_N_BATCHES} batch means at dt={self.dt}"
+            )
+        steps = self.burn_in / self.dt + self.duration / self.dt
+        if steps > _MAX_STEPS:
+            raise ConfigError(
+                f"schedule needs {steps:.3g} steps, more than the cap of {_MAX_STEPS:.0e}"
             )
 
 

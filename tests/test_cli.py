@@ -1,16 +1,24 @@
 """Command line interface: every subcommand, file formats, exit codes."""
 
+import argparse
+import contextlib
+import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import omsqueeze
-from omsqueeze.cli import main, read_table
+from omsqueeze import ModelError
+from omsqueeze.cli import _write_table, main, read_table
 
 OPT_FLAGS = ["--gamma-m", "1e-5", "--cooperativity", "400",
              "--theta", "pi/16"]
@@ -305,6 +313,54 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_infinite_sweep_range_is_a_grid_error(self, tmp_path, capsys):
+        # refused before numpy spreads inf over the grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["sweep-gain", *OPT_FLAGS, "--range", "0", "inf",
+                         "--workers", "1", "-o", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "usage error: grid range must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        # overflow in the steady state, Routh-Hurwitz and the coefficients
+        (["analytic", "--gamma-m", "1e-5", "--cooperativity", "1e308"],
+         "OverflowError: "),
+        (["stability-map", "--gamma-m", "1e-5", "--cooperativity", "400",
+          "--gain-range", "0", "1e300", "--gain-points", "3",
+          "--coop-points", "2", "--workers", "1"], "OverflowError: "),
+        (["detect", "--gamma-m", "1e-5", "--cooperativity", "1e300",
+          "--points", "3"], "OverflowError: complex exponentiation"),
+        # the coefficients overflow to nan, which the writer refuses
+        (["spectrum", "--gamma-m", "1e-5", "--cooperativity", "1e300",
+          "--points", "3"], "non-finite result: S_Q = nan"),
+    ])
+    def test_overflow_is_numerical_failure(self, tmp_path, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main([*argv, "-o", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"numerical failure: {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unbounded_oracle_schedule_is_refused(self, tmp_path):
+        # 1e303 steps; a fresh interpreter with a timeout, so a regression
+        # fails instead of hanging the suite
+        src = Path(omsqueeze.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "omsqueeze.cli", "oracle", "--gamma-m", "1e-2",
+             "--cooperativity", "400", "--dt", "1e-300", "--duration", "1",
+             "--burn-in", "1000", "-o", str(tmp_path / "x.csv")],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+            text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "usage error: schedule needs 1e+303 steps" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
     def test_bad_theta_literal(self, tmp_path, capsys):
         code = main(["analytic", "--theta", "two pi",
                      "--gamma-m", "1e-5", "--cooperativity", "400",
@@ -329,6 +385,22 @@ class TestExitCodes:
         assert not (tmp_path / "x.csv").exists()
 
 
+class TestFiniteGate:
+    @pytest.mark.parametrize("rows, meta, key", [
+        ([(1.0, math.nan)], {}, "b"),
+        ([(1.0, 2.0), (-math.inf, None)], {}, "a"),
+        ([(1.0, 2.0)], {"band_min_S": math.inf}, "band_min_S"),
+    ])
+    def test_non_finite_value_refused_before_writing(self, tmp_path, rows,
+                                                     meta, key):
+        args = argparse.Namespace(command_name="t", no_timestamp=True, no_jsonl=False,
+                                  output=None, outdir=str(tmp_path),
+                                  default_output="t.csv")
+        with pytest.raises(ModelError, match=f"non-finite result: {key} = "):
+            _write_table(args, ["a", "b"], rows, meta)
+        assert not any(tmp_path.iterdir())
+
+
 class TestLoggingFlags:
     @pytest.mark.parametrize("flag, level", [("--quiet", logging.WARNING),
                                              ("--verbose", logging.DEBUG)])
@@ -349,3 +421,105 @@ def test_import_leaves_scipy_out():
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
         check=True)
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# property: any argument list keeps the exit-code and finite-output contract
+
+ODD_FLOATS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324,
+              2.2250738585072014e-308, 0.0, -0.0]
+
+
+def numbers(lo: float, hi: float):
+    """Odd floats, any float, and floats in the working range [lo, hi]."""
+    return st.one_of(st.sampled_from(ODD_FLOATS), st.floats(),
+                     st.floats(min_value=lo, max_value=hi))
+
+
+def value_flag(flag: str, lo: float, hi: float):
+    # the --flag=value form lets a value such as -1e+308 through argparse
+    return numbers(lo, hi).map(lambda v: [f"{flag}={v!r}"])
+
+
+def range_flag(flag: str, lo: float, hi: float):
+    return st.tuples(numbers(lo, hi), numbers(lo, hi)).map(
+        lambda lh: [flag, repr(lh[0]), repr(lh[1])])
+
+
+def count_flag(flag: str, least: int, hi: int):
+    # as often below the least allowed count as in range
+    return st.one_of(st.integers(least, hi), st.integers(-1, least - 1)).map(
+        lambda n: [flag, str(n)])
+
+
+# each example sets at most three of these and the command's optional flags
+# on top of a preset, so that a fair share of examples gets past the input
+# checks into the numerics
+PARAM_FLAGS = [
+    value_flag("--gamma-m", 1e-5, 0.05),
+    value_flag("--cooperativity", 0.0, 500.0),
+    value_flag("--gain", 0.0, 0.6),
+    value_flag("--theta", 0.0, 6.3),
+    value_flag("--temperature", 0.0, 0.02),
+    value_flag("--omega-m", 1.0, 20.0),
+    value_flag("--kappa", 0.5, 2.0),
+    value_flag("--detuning", 1.0, 20.0),
+]
+# grid sizes are always given and small, and sweeps run in this process;
+# the other flags are optional
+SERIAL = st.just(["--workers", "1"])
+COMMAND_FLAGS = {
+    "analytic": ([], [value_flag("--eta", 0.0, 1000.0)]),
+    "spectrum": ([count_flag("--points", 1, 5)], [range_flag("--omega-range", -1.0, 1.0)]),
+    "detect": ([count_flag("--points", 1, 5)],
+               [value_flag("--phi", 0.0, 3.2), range_flag("--omega-range", -0.1, 0.1)]),
+    "sweep-gain": ([count_flag("--points", 2, 4), SERIAL],
+                   [range_flag("--range", 0.0, 0.6)]),
+    "cavity-sweep": ([count_flag("--points", 2, 4), SERIAL],
+                     [range_flag("--range", 0.0, 0.6)]),
+    "stability-map": ([count_flag("--gain-points", 1, 3), count_flag("--coop-points", 1, 3),
+                       SERIAL],
+                      [range_flag("--gain-range", 0.0, 1.0),
+                       range_flag("--coop-range", 0.0, 1000.0)]),
+}
+
+
+def _numbers_in(path: Path) -> list:
+    """Every CSV field that reads as a number, and every JSONL float."""
+    meta, rows = read_table(path)
+    out = []
+    for text in [*meta.values(), *(v for row in rows for v in row.values())]:
+        try:
+            out.append(float(text))
+        except ValueError:
+            pass
+    for line in path.with_suffix(".jsonl").read_text().splitlines():
+        obj = json.loads(line)
+        out += [v for v in obj.get("metadata", obj).values() if isinstance(v, float)]
+    return out
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_any_arguments_keep_the_exit_contract(command, data):
+    preset = data.draw(st.sampled_from(["fig3", "fig7", "fig9"]), label="preset")
+    fixed, optional = COMMAND_FLAGS[command]
+    chosen = data.draw(st.lists(st.sampled_from(PARAM_FLAGS + optional),
+                                max_size=3, unique_by=id), label="overrides")
+    flags = [data.draw(strategy) for strategy in fixed + chosen]
+    argv = [command, "--quiet", "--config", preset,
+            *(token for flag in flags for token in flag)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main([*argv, "-o", str(path), "--no-timestamp"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert all(math.isfinite(v) for v in _numbers_in(path)), argv
+        else:
+            assert not path.exists(), argv

@@ -63,6 +63,14 @@ class TestSimConfig:
             with pytest.raises(ConfigError, match="finite"):
                 SimConfig(dt=1e-3, duration=10.0, burn_in=bad)
 
+    def test_step_cap(self):
+        # burn-in and measured steps count together against the 1e9 cap
+        SimConfig(dt=1e-3, duration=5e5, burn_in=4e5)
+        with pytest.raises(ConfigError, match="1.2e\\+09 steps"):
+            SimConfig(dt=1e-3, duration=6e5, burn_in=6e5)
+        with pytest.raises(ConfigError, match="steps"):
+            SimConfig(dt=1e-300, duration=1.0, burn_in=1000.0)
+
     def test_burn_in_floor(self, quick_model):
         slowest = float((-np.linalg.eigvals(quick_model.M).real).min())
         cfg = SimConfig(dt=1e-3, duration=100.0, burn_in=0.1 / slowest)
