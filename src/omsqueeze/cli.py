@@ -26,7 +26,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -200,16 +199,7 @@ def read_table(path) -> tuple[dict[str, str], list[dict[str, str]]]:
 
 
 # ---------------------------------------------------------------------------
-# worker-pool plumbing (functions must stay module level for pickling)
-
-def _pool_map(fn, items, workers: int) -> list:
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    chunk = max(1, len(items) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
-
+# one table row per working point
 
 def _mech_row(p: SystemParams) -> tuple:
     ss = solve_steady_state(p)
@@ -235,13 +225,11 @@ def _cavity_row(p: SystemParams) -> tuple:
     return (var_y, squeezing_db(var_y), True)
 
 
-def _stability_row(task: tuple[float, float, SystemParams]) -> tuple:
-    gain, coop, base = task
-    p = dataclasses.replace(base, G=gain, cooperativity=coop)
+def _stability_row(p: SystemParams) -> tuple:
     ss = solve_steady_state(p)
     report = routh_hurwitz(p, ss)
     c1, c2, c3 = report.conditions
-    return (gain / p.kappa, coop, c1, c2, c3, report.stable, report.marginal)
+    return (p.G / p.kappa, p.cooperativity, c1, c2, c3, report.stable, report.marginal)
 
 
 def _quad_lyap_case(p: SystemParams) -> tuple:
@@ -254,8 +242,7 @@ def _quad_lyap_case(p: SystemParams) -> tuple:
     return (p.gamma_m, p.cooperativity, p.G, p.theta, p.temperature, rel)
 
 
-def _sde_case(task: tuple[SystemParams, SimConfig]) -> tuple:
-    p, cfg = task
+def _sde_case(p: SystemParams, cfg: SimConfig) -> tuple:
     ss = solve_steady_state(p)
     dm = build_drift(ss, p)
     cov = steady_covariance(dm)
@@ -303,32 +290,28 @@ def _emit_sweep(args, p0: SystemParams, column: str, values: np.ndarray,
 def cmd_sweep_gain(args) -> int:
     p0 = _load_params(args)
     gains = _sweep_range(args, 0.0, 0.49 * p0.kappa)
-    models = [dataclasses.replace(p0, G=float(g)) for g in gains]
-    results = _pool_map(_mech_row, models, args.workers)
+    results = [_mech_row(dataclasses.replace(p0, G=float(g))) for g in gains]
     return _emit_sweep(args, p0, "G_over_kappa", gains / p0.kappa, results)
 
 
 def cmd_sweep_cooperativity(args) -> int:
     p0 = _load_params(args)
     coops = _sweep_range(args, 10.0, 4000.0)
-    models = [dataclasses.replace(p0, cooperativity=float(c)) for c in coops]
-    results = _pool_map(_mech_row, models, args.workers)
+    results = [_mech_row(dataclasses.replace(p0, cooperativity=float(c))) for c in coops]
     return _emit_sweep(args, p0, "cooperativity", coops, results)
 
 
 def cmd_sweep_temperature(args) -> int:
     p0 = _load_params(args)
     temps = _sweep_range(args, 0.0, 0.02)
-    models = [dataclasses.replace(p0, temperature=float(t)) for t in temps]
-    results = _pool_map(_mech_row, models, args.workers)
+    results = [_mech_row(dataclasses.replace(p0, temperature=float(t))) for t in temps]
     return _emit_sweep(args, p0, "temperature_K", temps, results)
 
 
 def cmd_cavity_sweep(args) -> int:
     p0 = _load_params(args)
     gains = _sweep_range(args, 0.0, 0.49 * p0.kappa)
-    models = [dataclasses.replace(p0, G=float(g)) for g in gains]
-    results = _pool_map(_cavity_row, models, args.workers)
+    results = [_cavity_row(dataclasses.replace(p0, G=float(g))) for g in gains]
     columns = ["G_over_kappa", "theta", "var_y", "squeezing_db", "stable"]
     rows = [(float(g) / p0.kappa, p0.theta, var_y, db, ok)
             for g, (var_y, db, ok) in zip(gains, results)]
@@ -343,13 +326,13 @@ def cmd_stability_map(args) -> int:
     p0 = _load_params(args)
     gains = _grid(args.gain_range, args.gain_points, "--gain-points")
     coops = _grid(args.coop_range, args.coop_points, "--coop-points")
-    tasks = [(float(g), float(c), p0) for g in gains for c in coops]
-    results = _pool_map(_stability_row, tasks, args.workers)
+    rows = [_stability_row(dataclasses.replace(p0, G=float(g), cooperativity=float(c)))
+            for g in gains for c in coops]
     columns = ["G_over_kappa", "cooperativity", "cond1", "cond2", "cond3",
                "stable", "marginal"]
     meta = _params_metadata(p0)
     meta["grid"] = f"{args.gain_points}x{args.coop_points}"
-    _write_table(args, columns, list(results), meta)
+    _write_table(args, columns, rows, meta)
     return 0
 
 
@@ -450,18 +433,13 @@ def cmd_oracle(args) -> int:
     ss = solve_steady_state(p)
     dm = build_drift(ss, p)
     cov = steady_covariance(dm)
-    if None in (args.dt, args.duration, args.burn_in):
-        cfg = suggest_config(dm, seed=args.seed, n_traj=args.trajectories)
-        cfg = SimConfig(
-            dt=args.dt if args.dt is not None else cfg.dt,
-            duration=args.duration if args.duration is not None else cfg.duration,
-            burn_in=args.burn_in if args.burn_in is not None else cfg.burn_in,
-            n_traj=args.trajectories,
-            seed=args.seed,
-        )
-    else:
-        cfg = SimConfig(dt=args.dt, duration=args.duration, burn_in=args.burn_in,
-                        n_traj=args.trajectories, seed=args.seed)
+    given = {key: getattr(args, key) for key in ("dt", "duration", "burn_in")
+             if getattr(args, key) is not None}
+    if len(given) == 3:
+        cfg = SimConfig(**given, n_traj=args.trajectories, seed=args.seed)
+    else:   # the suggested schedule fills in what was not given
+        cfg = dataclasses.replace(
+            suggest_config(dm, seed=args.seed, n_traj=args.trajectories), **given)
     t0 = time.perf_counter()
     est = simulate(dm, cfg)
     elapsed = time.perf_counter() - t0
@@ -532,8 +510,7 @@ def cmd_validate(args) -> int:
     rng = np.random.default_rng(args.seed)
     t_start = time.perf_counter()
 
-    quad_models = [_draw_mech_params(rng) for _ in range(args.quad_draws)]
-    quad_results = _pool_map(_quad_lyap_case, quad_models, args.workers)
+    quad_results = [_quad_lyap_case(_draw_mech_params(rng)) for _ in range(args.quad_draws)]
     worst_rel = max(r[-1] for r in quad_results)
     quad_pass = worst_rel <= 1e-6
     print(f"[quadrature vs Lyapunov] {args.quad_draws} draws, "
@@ -541,8 +518,7 @@ def cmd_validate(args) -> int:
           f"(tol 1e-06): {'PASS' if quad_pass else 'FAIL'}")
 
     sde_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=args.sde_draws)]
-    sde_tasks = [_draw_sde_case(rng, seed) for seed in sde_seeds]
-    sde_results = _pool_map(_sde_case, sde_tasks, args.workers)
+    sde_results = [_sde_case(*_draw_sde_case(rng, seed)) for seed in sde_seeds]
     worst_z = max(r[-1] for r in sde_results)
     sde_pass = worst_z <= 3.0
     print(f"[SDE vs Lyapunov]        {args.sde_draws} draws, "
@@ -608,8 +584,8 @@ def _add_output_flags(sub, default_output: str) -> None:
 
 
 def _add_workers_flag(sub) -> None:
-    sub.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                     help="worker processes (default: available parallelism)")
+    # accepted and ignored: every command runs in one process
+    sub.add_argument("--workers", type=int, help=argparse.SUPPRESS)
 
 
 def _add_sweep_flags(sub, points: int) -> None:

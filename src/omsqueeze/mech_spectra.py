@@ -11,8 +11,8 @@ That sum, Re[(A+A- + B+B-)(n_c + 1/2) + (E+E- + F+F-)(n_m + 1/2)] with
 couplings at +-omega, is the one rule behind every spectrum in the
 package: ``_symmetrized`` evaluates it here, for the homodyne output
 (output_detection) and, without the mirror bath, for the empty cavity
-(cavity_pa). An imaginary leftover above the one tolerance ``_IMAG_TOL``
-raises ModelError.
+(cavity_pa). An imaginary leftover above the one tolerance ``_IMAG_TOL``,
+relative to the spectrum once it exceeds 1, raises ModelError.
 
 All frequencies are in cavity linewidth units, matching SystemParams.
 """
@@ -40,7 +40,8 @@ __all__ = [
 # axis for the variance integral to converge reliably
 _MARGINAL_GUARD = 1e-9
 
-# symmetrized spectra are real; larger leftovers flag a coefficient bug
+# symmetrized spectra are real; larger leftovers, relative to max(1, |S|),
+# flag a coefficient bug
 _IMAG_TOL = 1e-6
 
 
@@ -100,15 +101,20 @@ def _symmetrized(pairs, n_c: float, n_m: float) -> tuple[list, float]:
 
     Each entry of ``pairs`` is ((A, B, E, F) at +omega, (A, B, E, F) at
     -omega) for one quadrature; the result holds one real spectrum per
-    entry. Raises ModelError when the leftover passes ``_IMAG_TOL``.
+    entry. Raises ModelError when the leftover passes ``_IMAG_TOL`` times
+    max(1, largest |S|) of its spectrum.
     """
     nc = n_c + 0.5
     nm = n_m + 0.5
     raw = [(Ap * Am + Bp * Bm) * nc + (Ep * Em + Fp * Fm) * nm
            for (Ap, Bp, Ep, Fp), (Am, Bm, Em, Fm) in pairs]
-    im_res = max([float(np.abs(S.imag).max()) for S in raw])
-    if im_res > _IMAG_TOL:
-        raise ModelError(f"spectrum imaginary residual {im_res:.3e}")
+    im_res = 0.0
+    for S in raw:
+        im = float(np.abs(S.imag).max())
+        # im > _IMAG_TOL * max(1, |S|), with |S| found only when it matters
+        if im > _IMAG_TOL and im > _IMAG_TOL * float(np.abs(S.real).max()):
+            raise ModelError(f"spectrum imaginary residual {im:.3e}")
+        im_res = max(im_res, im)
     return [S.real for S in raw], im_res
 
 

@@ -189,10 +189,6 @@ class RwaReport:
     weak_coupling: bool       # omega_m >> |g|
     weak_gain: bool           # omega_m >> 2G
 
-    def all_ok(self) -> bool:
-        return (self.resolved_sideband and self.slow_damping
-                and self.weak_coupling and self.weak_gain)
-
     def failures(self) -> tuple[str, ...]:
         out = []
         if not self.resolved_sideband:

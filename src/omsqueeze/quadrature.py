@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import QuadratureFailure
 
-__all__ = ["gauss_kronrod_panel", "integrate_line"]
+__all__ = ["integrate_line"]
 
 # 15-point Kronrod nodes (positive half) with the embedded 7-point Gauss
 # rule on nodes 1, 3, 5, 7.
@@ -43,12 +43,6 @@ _XGK = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])          # 15 ascendin
 _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])       # Gauss subset
-
-
-def gauss_kronrod_panel(f, lo: float, hi: float) -> tuple[float, float]:
-    """Single G7/K15 panel over [lo, hi]: returns (integral, error estimate)."""
-    k15, err = _eval_panels(f, np.array([lo]), np.array([hi]))
-    return float(k15[0]), float(err[0])
 
 
 def _eval_panels(F, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

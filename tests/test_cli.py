@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import omsqueeze
 from omsqueeze import ModelError
-from omsqueeze.cli import _write_table, main, read_table
+from omsqueeze.cli import _write_table, build_parser, main, read_table
 
 OPT_FLAGS = ["--gamma-m", "1e-5", "--cooperativity", "400",
              "--theta", "pi/16"]
@@ -36,8 +36,7 @@ def run(tmp_path, *argv, name="out.csv"):
 class TestSweeps:
     def test_sweep_gain(self, tmp_path):
         code, path = run(tmp_path, "sweep-gain", *OPT_FLAGS,
-                         "--range", "0", "0.49", "--points", "5",
-                         "--workers", "1")
+                         "--range", "0", "0.49", "--points", "5")
         assert code == 0
         meta, rows = read_table(path)
         assert meta["command"] == "sweep-gain"
@@ -49,8 +48,7 @@ class TestSweeps:
 
     def test_sweep_gain_marks_unstable_rows(self, tmp_path):
         code, path = run(tmp_path, "sweep-gain", *OPT_FLAGS,
-                         "--range", "0.4", "0.8", "--points", "5",
-                         "--workers", "1")
+                         "--range", "0.4", "0.8", "--points", "5")
         assert code == 0
         _, rows = read_table(path)
         dead = [r for r in rows if r["stable"] == "false"]
@@ -66,8 +64,7 @@ class TestSweeps:
         code, path = run(tmp_path, "sweep-cooperativity", "--gamma-m", "1e-5",
                          "--cooperativity", "400", "--gain", "0.49",
                          "--theta", "pi/16",
-                         "--range", "400", "4000", "--points", "3",
-                         "--workers", "1")
+                         "--range", "400", "4000", "--points", "3")
         assert code == 0
         _, rows = read_table(path)
         # deep in the adiabatic regime the variance barely moves with C
@@ -75,8 +72,7 @@ class TestSweeps:
 
     def test_sweep_temperature(self, tmp_path):
         code, path = run(tmp_path, "sweep-temperature", "--config", "fig6",
-                         "--range", "0", "0.02", "--points", "3",
-                         "--workers", "1")
+                         "--range", "0", "0.02", "--points", "3")
         assert code == 0
         _, rows = read_table(path)
         vals = [float(r["var_p"]) for r in rows]
@@ -86,8 +82,7 @@ class TestSweeps:
     def test_cavity_sweep(self, tmp_path):
         code, path = run(tmp_path, "cavity-sweep", "--theta", "0",
                          "--gamma-m", "1e-5", "--cooperativity", "0",
-                         "--range", "0", "0.49", "--points", "5",
-                         "--workers", "1")
+                         "--range", "0", "0.49", "--points", "5")
         assert code == 0
         _, rows = read_table(path)
         assert float(rows[-1]["var_y"]) == pytest.approx(0.252525, abs=1e-5)
@@ -95,8 +90,7 @@ class TestSweeps:
     def test_cavity_sweep_past_threshold(self, tmp_path):
         code, path = run(tmp_path, "cavity-sweep", "--theta", "0",
                          "--gamma-m", "1e-5", "--cooperativity", "0",
-                         "--range", "0.4", "0.6", "--points", "3",
-                         "--workers", "1")
+                         "--range", "0.4", "0.6", "--points", "3")
         assert code == 0
         _, rows = read_table(path)
         assert rows[-1]["stable"] == "false" and rows[-1]["var_y"] == ""
@@ -107,8 +101,7 @@ class TestGrids:
         code, path = run(tmp_path, "stability-map", "--gamma-m", "1e-5",
                          "--cooperativity", "1",
                          "--gain-range", "0", "1", "--gain-points", "5",
-                         "--coop-range", "0", "1000", "--coop-points", "4",
-                         "--workers", "1")
+                         "--coop-range", "0", "1000", "--coop-points", "4")
         assert code == 0
         meta, rows = read_table(path)
         assert meta["grid"] == "5x4"
@@ -188,8 +181,7 @@ class TestAnalyticOracleValidate:
 
     def test_validate_small(self, tmp_path, capsys):
         code, path = run(tmp_path, "validate", "--seed", "3",
-                         "--quad-draws", "6", "--sde-draws", "2",
-                         "--workers", "2")
+                         "--quad-draws", "6", "--sde-draws", "2")
         assert code == 0
         _, rows = read_table(path)
         assert len(rows) == 8
@@ -200,9 +192,9 @@ class TestAnalyticOracleValidate:
 class TestOutputContract:
     def test_no_timestamp_reruns_identical(self, tmp_path):
         _, first = run(tmp_path, "sweep-gain", *OPT_FLAGS, "--points", "3",
-                       "--range", "0", "0.4", "--workers", "1", name="a.csv")
+                       "--range", "0", "0.4", name="a.csv")
         _, second = run(tmp_path, "sweep-gain", *OPT_FLAGS, "--points", "3",
-                        "--range", "0", "0.4", "--workers", "1", name="b.csv")
+                        "--range", "0", "0.4", name="b.csv")
         assert first.read_bytes() == second.read_bytes()
         assert first.with_suffix(".jsonl").read_bytes() == \
             second.with_suffix(".jsonl").read_bytes()
@@ -210,15 +202,14 @@ class TestOutputContract:
     def test_timestamp_present_by_default(self, tmp_path):
         path = tmp_path / "t.csv"
         code = main(["sweep-gain", *OPT_FLAGS, "--points", "2",
-                     "--range", "0", "0.1", "--workers", "1",
-                     "-o", str(path)])
+                     "--range", "0", "0.1", "-o", str(path)])
         assert code == 0
         meta, _ = read_table(path)
         assert "generated_at" in meta
 
     def test_jsonl_mirror(self, tmp_path):
         _, path = run(tmp_path, "sweep-gain", *OPT_FLAGS, "--points", "3",
-                      "--range", "0", "0.4", "--workers", "1")
+                      "--range", "0", "0.4")
         lines = path.with_suffix(".jsonl").read_text().splitlines()
         assert len(lines) == 4
         head = json.loads(lines[0])
@@ -230,18 +221,31 @@ class TestOutputContract:
     def test_no_jsonl_flag(self, tmp_path):
         path = tmp_path / "c.csv"
         code = main(["sweep-gain", *OPT_FLAGS, "--points", "2",
-                     "--range", "0", "0.1", "--workers", "1",
-                     "-o", str(path), "--no-timestamp", "--no-jsonl"])
+                     "--range", "0", "0.1", "-o", str(path), "--no-timestamp",
+                     "--no-jsonl"])
         assert code == 0
         assert not path.with_suffix(".jsonl").exists()
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OMSQUEEZE_OUTDIR", str(tmp_path))
         code = main(["sweep-gain", *OPT_FLAGS, "--points", "2",
-                     "--range", "0", "0.1", "--workers", "1",
-                     "--no-timestamp"])
+                     "--range", "0", "0.1", "--no-timestamp"])
         assert code == 0
         assert (tmp_path / "sweep-gain.csv").is_file()
+
+    def test_workers_flag_is_accepted_and_ignored(self, tmp_path):
+        # kept so that old command lines still parse; it changes nothing
+        _, plain = run(tmp_path, "sweep-gain", *OPT_FLAGS, "--points", "3",
+                       "--range", "0", "0.4", name="plain.csv")
+        _, flagged = run(tmp_path, "sweep-gain", *OPT_FLAGS, "--points", "3",
+                         "--range", "0", "0.4", "--workers", "3", name="flagged.csv")
+        assert plain.read_bytes() == flagged.read_bytes()
+        assert plain.with_suffix(".jsonl").read_bytes() == \
+            flagged.with_suffix(".jsonl").read_bytes()
+        subs = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+        for name, sub in subs.choices.items():
+            assert "workers" not in sub.format_help(), name
 
     def test_read_table_rejects_headerless_file(self, tmp_path):
         bad = tmp_path / "empty.csv"
@@ -299,7 +303,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["analytic", "--gamma-m", "nan", "--cooperativity", "400"],
         ["sweep-gain", "--gamma-m", "nan", "--cooperativity", "400",
-         "--points", "3", "--workers", "1"],
+         "--points", "3"],
         ["analytic", "--gamma-m", "1e-5", "--cooperativity", "inf"],
         ["analytic", "--config", "fig3", "--theta", "2**3"],
         ["analytic", "--config", "fig3", "--eta", "nan"],
@@ -318,7 +322,7 @@ class TestExitCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main(["sweep-gain", *OPT_FLAGS, "--range", "0", "inf",
-                         "--workers", "1", "-o", str(tmp_path / "x.csv")])
+                         "-o", str(tmp_path / "x.csv")])
         assert code == 1
         assert "usage error: grid range must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
@@ -329,7 +333,7 @@ class TestExitCodes:
          "OverflowError: "),
         (["stability-map", "--gamma-m", "1e-5", "--cooperativity", "400",
           "--gain-range", "0", "1e300", "--gain-points", "3",
-          "--coop-points", "2", "--workers", "1"], "OverflowError: "),
+          "--coop-points", "2"], "OverflowError: "),
         (["detect", "--gamma-m", "1e-5", "--cooperativity", "1e300",
           "--points", "3"], "OverflowError: complex exponentiation"),
         # the coefficients overflow to nan, which the writer refuses
@@ -345,6 +349,21 @@ class TestExitCodes:
         assert f"numerical failure: {message}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_huge_but_finite_spectrum_is_written(self, tmp_path, capsys):
+        # the occupation reaches 1e270; the imaginary leftover is rounding,
+        # 2e-18 of the spectrum, and is judged relative to it
+        code = main(["spectrum", "--config", "fig3", "--points", "1",
+                     "--omega-m", "5.284745772492439e+270",
+                     "--temperature", "5.284745772492439e+270",
+                     "-o", str(tmp_path / "x.csv"), "--no-timestamp"])
+        err = capsys.readouterr().err
+        assert code == 0
+        assert "Traceback" not in err
+        _, rows = read_table(tmp_path / "x.csv")
+        values = [float(v) for v in rows[0].values()]
+        assert all(math.isfinite(v) for v in values)
+        assert float(rows[0]["S_Q"]) == pytest.approx(3.57e270, rel=1e-2)
 
     def test_unbounded_oracle_schedule_is_refused(self, tmp_path):
         # 1e303 steps; a fresh interpreter with a timeout, so a regression
@@ -371,10 +390,9 @@ class TestExitCodes:
         (["spectrum", "--config", "fig3", "--points", "0"], "--points"),
         (["detect", "--config", "fig8", "--points", "0"], "--points"),
         (["detect-map", "--config", "fig8", "--phi-points", "0"], "--phi-points"),
-        (["stability-map", *OPT_FLAGS, "--gain-points", "0", "--workers", "1"],
-         "--gain-points"),
-        (["validate", "--quad-draws", "0", "--workers", "1"], "--quad-draws"),
-        (["validate", "--sde-draws", "0", "--workers", "1"], "--sde-draws"),
+        (["stability-map", *OPT_FLAGS, "--gain-points", "0"], "--gain-points"),
+        (["validate", "--quad-draws", "0"], "--quad-draws"),
+        (["validate", "--sde-draws", "0"], "--sde-draws"),
     ])
     def test_counts_below_one_are_refused(self, tmp_path, capsys, argv, flag):
         code = main([*argv, "-o", str(tmp_path / "x.csv")])
@@ -413,11 +431,13 @@ class TestLoggingFlags:
         assert logging.getLogger("omsqueeze").level == level
 
 
-def test_import_leaves_scipy_out():
-    # scipy is a test dependency only; the runtime needs numpy alone
+@pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "multiprocessing"])
+def test_import_leaves_module_out(module):
+    # scipy is a test dependency only and every command runs in one process,
+    # so the runtime needs numpy alone and no process machinery
     src = Path(omsqueeze.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, omsqueeze.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, omsqueeze.cli; print({module!r} in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
         check=True)
     assert proc.stdout.strip() == "False"
@@ -465,20 +485,17 @@ PARAM_FLAGS = [
     value_flag("--kappa", 0.5, 2.0),
     value_flag("--detuning", 1.0, 20.0),
 ]
-# grid sizes are always given and small, and sweeps run in this process;
-# the other flags are optional
-SERIAL = st.just(["--workers", "1"])
+# grid sizes are always given and small; the other flags are optional
 COMMAND_FLAGS = {
     "analytic": ([], [value_flag("--eta", 0.0, 1000.0)]),
     "spectrum": ([count_flag("--points", 1, 5)], [range_flag("--omega-range", -1.0, 1.0)]),
     "detect": ([count_flag("--points", 1, 5)],
                [value_flag("--phi", 0.0, 3.2), range_flag("--omega-range", -0.1, 0.1)]),
-    "sweep-gain": ([count_flag("--points", 2, 4), SERIAL],
+    "sweep-gain": ([count_flag("--points", 2, 4)],
                    [range_flag("--range", 0.0, 0.6)]),
-    "cavity-sweep": ([count_flag("--points", 2, 4), SERIAL],
+    "cavity-sweep": ([count_flag("--points", 2, 4)],
                      [range_flag("--range", 0.0, 0.6)]),
-    "stability-map": ([count_flag("--gain-points", 1, 3), count_flag("--coop-points", 1, 3),
-                       SERIAL],
+    "stability-map": ([count_flag("--gain-points", 1, 3), count_flag("--coop-points", 1, 3)],
                       [range_flag("--gain-range", 0.0, 1.0),
                        range_flag("--coop-range", 0.0, 1000.0)]),
 }

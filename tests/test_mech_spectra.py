@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from omsqueeze import (
+    ModelError,
     NonPositiveVariance,
     SystemParams,
     UnstableSystem,
@@ -192,6 +193,26 @@ class TestGuards:
                          G=0.5 + gam / 4 - 1e-12)
         with pytest.raises(UnstableSystem):
             quadrature_variances(solve_steady_state(p), p)
+
+    @pytest.mark.parametrize("scale, leftover, refused", [
+        (1.0, 1e-3, True),
+        (1.0, 1e-9, False),
+        (1e10, 1e-9, False),     # 10 in absolute terms, rounding at this scale
+        (1e10, 1e-3, True),
+    ])
+    def test_imaginary_leftover_is_judged_relative_to_the_spectrum(
+            self, scale, leftover, refused):
+        # A+ A- = S with the other couplings zero, and n_c + 1/2 = 1
+        zero = np.zeros(3, dtype=complex)
+        S = np.full(3, scale * (1.0 + 1j * leftover))
+        pairs = [((S, zero, zero, zero), (np.ones(3), zero, zero, zero))]
+        if refused:
+            with pytest.raises(ModelError, match="imaginary residual"):
+                mech_spectra._symmetrized(pairs, 0.5, 0.0)
+        else:
+            (real,), im_res = mech_spectra._symmetrized(pairs, 0.5, 0.0)
+            assert np.array_equal(real, S.real)
+            assert im_res == pytest.approx(scale * leftover)
 
 
 class TestSqueezingDb:

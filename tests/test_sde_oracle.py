@@ -19,7 +19,8 @@ from omsqueeze import (
     steady_covariance,
     suggest_config,
 )
-from omsqueeze.sde_oracle import _expm, _step_maps
+from omsqueeze import sde_oracle
+from omsqueeze.sde_oracle import _BLOCK, _MAX_SEGMENT, _expm, _step_maps
 
 from conftest import draw_stable_params
 
@@ -179,6 +180,39 @@ class TestStepMaps:
         assert np.all(np.isfinite(B))
         V = scipy.linalg.solve_continuous_lyapunov(M, -D)
         assert np.allclose(A @ V @ A.T + B @ B.T, V, rtol=0, atol=1e-14)
+
+
+class TestBlockedStep:
+    def test_states_match_the_one_step_recurrence(self, quick_model, monkeypatch):
+        # burn-in 4133 steps: one full noise draw and a 37-step rest; batches
+        # of 21 steps; neither is a multiple of the block
+        n_burn, batch_len = _MAX_SEGMENT + 37, 21
+        assert n_burn % _BLOCK and batch_len % _BLOCK
+        dt = 0.17
+        cfg = SimConfig(dt=dt, burn_in=(n_burn - 0.5) * dt,
+                        duration=(32 * batch_len - 0.5) * dt, n_traj=3, seed=5)
+        runs = []                        # (noise, states) of every draw
+        propagate = sde_oracle._propagate
+
+        def recording(state, path, P, W):
+            noise = path.copy()
+            last = propagate(state, path, P, W)
+            runs.append((noise, path.copy()))
+            return last
+
+        monkeypatch.setattr(sde_oracle, "_propagate", recording)
+        simulate(quick_model, cfg)
+        lengths = [noise.shape[1] for noise, _ in runs]
+        assert lengths[:2] == [_MAX_SEGMENT, 37] and lengths[2:] == [batch_len] * 32
+
+        A, B = _step_maps(quick_model.M, quick_model.D, dt)
+        f = np.zeros((cfg.n_traj, 4))
+        worst = 0.0
+        for noise, states in runs:
+            for t in range(noise.shape[1]):
+                f = f @ A.T + noise[:, t] @ B.T
+                worst = max(worst, np.abs(states[:, t] - f).max() / np.abs(f).max())
+        assert worst <= 1e-12
 
 
 class TestGuards:
