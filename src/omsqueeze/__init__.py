@@ -52,7 +52,6 @@ from .mech_spectra import (
 )
 from .adiabatic import (
     AdiabaticInputs,
-    adiabatic_cavity_fluctuation,
     adiabatic_variance_p,
     adiabatic_variance_p_approx,
     feedback_variance_p,
@@ -99,7 +98,6 @@ __all__ = [
     "UnstableSystem",
     "VariancePair",
     "ZeroCoupling",
-    "adiabatic_cavity_fluctuation",
     "adiabatic_variance_p",
     "adiabatic_variance_p_approx",
     "build_drift",

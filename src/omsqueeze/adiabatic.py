@@ -3,31 +3,31 @@
 In the strongly damped cavity regime (kappa much larger than |g| and
 gamma_m) the cavity follows the mirror adiabatically and can be solved
 for algebraically. Substituting it back leaves a single Langevin equation
-for the mirror momentum whose stationary variance has a closed form, plus
-a multiplicative reduction factor when cold feedback damping is added.
+for the mirror momentum whose stationary variance has one closed form,
 
-The closed forms assume the parametric phase sits at the optimum
-(g*^2 e^{i theta} real and negative); away from it they lose accuracy.
-Let G0 = 2G/kappa throughout.
+    <dP^2> = (1 + 2 n_c) / (2 (1 + G0)) + (1 + G0)(1 + 2 n_m) / (4 C),
+
+with G0 = 2G/kappa and C = |g|^2/(kappa gamma_m). It is evaluated at the
+working G0 (``adiabatic_variance_p``) or at the threshold gain G0 = 1
+(``adiabatic_variance_p_approx``), where it tends to
+(1 + 2 n_c)/4 + (1 + 2 n_m)/(2C). Cold feedback damping divides it by a
+reduction factor (``feedback_variance_p``).
+
+The closed form assumes the parametric phase sits at the optimum
+(g*^2 e^{i theta} real and negative); away from it it loses accuracy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, sin, sqrt
 
 from .errors import DomainError, FeedbackUnstable
 from .params import SteadyState, SystemParams
 
 __all__ = [
     "AdiabaticInputs",
-    "adiabatic_cavity_fluctuation",
     "adiabatic_variance_p",
     "adiabatic_variance_p_approx",
-    "drift_decay_rate",
     "feedback_variance_p",
-    "momentum_decay_rate",
-    "optical_noise_coefficient",
-    "thermal_noise_coefficient",
 ]
 
 
@@ -69,80 +69,28 @@ class AdiabaticInputs:
         )
 
 
-def adiabatic_variance_p(inp: AdiabaticInputs) -> float:
-    """Stationary momentum variance of the eliminated-cavity model."""
+def _closed_form(inp: AdiabaticInputs, G0: float) -> float:
     g2 = abs(inp.g) ** 2
     if g2 == 0.0:
         raise DomainError("closed form needs a nonzero optomechanical coupling")
-    optical = (1.0 + 2.0 * inp.n_th_c) / (2.0 * (1.0 + inp.G0))
-    thermal = (inp.gamma_m * inp.kappa * (1.0 + inp.G0)
+    optical = (1.0 + 2.0 * inp.n_th_c) / (2.0 * (1.0 + G0))
+    thermal = (inp.gamma_m * inp.kappa * (1.0 + G0)
                * (1.0 + 2.0 * inp.n_th_m)) / (4.0 * g2)
     return optical + thermal
 
 
-def adiabatic_variance_p_approx(n_th_c: float, n_th_m: float) -> float:
-    """Threshold-gain variance at cooperativity 400.
+def adiabatic_variance_p(inp: AdiabaticInputs) -> float:
+    """Stationary momentum variance of the eliminated-cavity model."""
+    return _closed_form(inp, inp.G0)
 
-    The G0 -> 1, C = 400 evaluation of the closed form; kept literal as a
-    quick estimate for the microwave parameter set.
-    """
-    return 0.25 * (1.0 + 2.0 * n_th_c) + (1.0 + 2.0 * n_th_m) / 800.0
+
+def adiabatic_variance_p_approx(inp: AdiabaticInputs) -> float:
+    """Threshold-gain limit of the closed form: G0 -> 1 at the working
+    cooperativity, (1 + 2 n_c)/4 + (1 + 2 n_m)/(2C)."""
+    return _closed_form(inp, 1.0)
 
 
 def feedback_variance_p(inp: AdiabaticInputs) -> float:
     """Momentum variance with cold damping feedback of gain eta applied."""
     factor = 1.0 + (1.0 + inp.G0) * (1.0 + 0.5 * inp.eta) / (2.0 * inp.cooperativity)
     return adiabatic_variance_p(inp) / factor
-
-
-def momentum_decay_rate(inp: AdiabaticInputs) -> float:
-    """Effective decay of the momentum quadrature.
-
-    The intrinsic gamma_m contribution is dropped: it is negligible against
-    the optically induced rate whenever the closed forms apply at all.
-    """
-    return abs(inp.g) ** 2 / (inp.kappa * (1.0 + inp.G0))
-
-
-def drift_decay_rate(inp: AdiabaticInputs) -> float:
-    """Decay rate appearing in the eliminated-cavity drift term.
-
-    Differs from momentum_decay_rate by the factor 1/(1 - G0); the two
-    agree in the G0 -> 0 limit, which is the internal consistency check
-    between the drift and the momentum equation.
-    """
-    return abs(inp.g) ** 2 / ((1.0 - inp.G0 ** 2) * inp.kappa)
-
-
-def optical_noise_coefficient(inp: AdiabaticInputs) -> float:
-    """Weight of the optical noise term in the momentum correlations."""
-    return abs(inp.g) ** 2 * (1.0 + 2.0 * inp.n_th_c) / (
-        inp.kappa * (1.0 + inp.G0) ** 2)
-
-
-def thermal_noise_coefficient(inp: AdiabaticInputs) -> float:
-    """Weight of the mirror thermal noise term in the momentum correlations."""
-    return inp.gamma_m * (1.0 + 2.0 * inp.n_th_m) / 2.0
-
-
-def adiabatic_cavity_fluctuation(delta_b: complex, delta_b_dag: complex,
-                                 c_in: complex, c_in_dag: complex,
-                                 ss: SteadyState, p: SystemParams) -> complex:
-    """Eliminated-cavity fluctuation for given mirror and input amplitudes.
-
-    Diagnostic helper: evaluates the algebraic cavity solution so it can be
-    compared against the full linear response at zero frequency. The mirror
-    and its conjugate amplitude are passed separately because they are
-    independent inputs here, not numerical conjugates of each other.
-    """
-    k, G = p.kappa, p.G
-    denom = k * k - 4.0 * G * G
-    if denom == 0.0:
-        raise DomainError("cavity response diverges at G = kappa/2")
-    eith = complex(cos(p.theta), sin(p.theta))
-    g = ss.g
-    num = (1j * k * g * delta_b
-           - 2j * G * eith * g.conjugate() * delta_b_dag
-           + 2.0 * G * eith * sqrt(2.0 * k) * c_in_dag
-           + k * sqrt(2.0 * k) * c_in)
-    return num / denom

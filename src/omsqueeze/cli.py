@@ -400,7 +400,7 @@ def cmd_analytic(args) -> int:
     inp_fb = dataclasses.replace(inp, eta=eta)
 
     var_adiabatic = adiabatic_variance_p(inp)
-    var_approx = adiabatic_variance_p_approx(ss.n_th_c, ss.n_th_m)
+    var_approx = adiabatic_variance_p_approx(inp)
     var_feedback = feedback_variance_p(inp_fb)
 
     try:
@@ -440,6 +440,9 @@ def cmd_oracle(args) -> int:
     else:   # the suggested schedule fills in what was not given
         cfg = dataclasses.replace(
             suggest_config(dm, seed=args.seed, n_traj=args.trajectories), **given)
+    n_burn, n_meas = cfg.steps()
+    _log.info("sampling %d steps (%d burn-in + %d measured) x %d trajectories "
+              "at dt=%.3e", n_burn + n_meas, n_burn, n_meas, cfg.n_traj, cfg.dt)
     t0 = time.perf_counter()
     est = simulate(dm, cfg)
     elapsed = time.perf_counter() - t0

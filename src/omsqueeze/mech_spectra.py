@@ -128,20 +128,6 @@ def spectrum(omega, ss: SteadyState, p: SystemParams) -> SpectrumSample:
     return SpectrumSample(omega=om, S_Q=S_Q, S_P=S_P, im_residual=im_res)
 
 
-def _slowest_decay(p: SystemParams, g: complex) -> float:
-    # smallest -Re(root) of the two characteristic quadratics
-    # lam^2 + (gam/2 + kappa -+ 2G) lam + (gam/2)(kappa -+ 2G) + |g|^2
-    k, gam, G = p.kappa, p.gamma_m, p.G
-    g2 = abs(g) ** 2
-    rates = []
-    for sign in (-1.0, 1.0):
-        b = gam / 2 + k + sign * 2 * G
-        c = (gam / 2) * (k + sign * 2 * G) + g2
-        disc = complex(b * b - 4 * c) ** 0.5
-        rates += [((b - disc) / 2).real, ((b + disc) / 2).real]
-    return min(rates)
-
-
 def quadrature_variances(ss: SteadyState, p: SystemParams) -> VariancePair:
     """Stationary quadrature variances by integrating the spectra.
 
@@ -152,7 +138,7 @@ def quadrature_variances(ss: SteadyState, p: SystemParams) -> VariancePair:
     report = routh_hurwitz(p, ss)
     if not report.stable:
         raise UnstableSystem("no stationary state: stability conditions violated")
-    if _slowest_decay(p, ss.g) < _MARGINAL_GUARD * p.kappa:
+    if report.decay_rate < _MARGINAL_GUARD * p.kappa:
         raise UnstableSystem("operating point too close to marginal stability")
 
     def f(om: np.ndarray) -> np.ndarray:

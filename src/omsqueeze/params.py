@@ -12,8 +12,10 @@ The drive is specified either by the dimensionless cooperativity
 ``C = |g|^2/(kappa*gamma_m)`` (the default mode, which pins the effective
 detuning to ``omega_m`` and bypasses the nonlinear solve) or by a physical
 laser drive (``epsilon_l`` directly, or laser power in watts plus
-``kappa_phys``), in which case the coupled steady-state equations are
-solved by damped fixed-point iteration.
+``kappa_phys``), in which case the coupled steady-state equations reduce
+to a cubic in the intracavity photon number. The solve takes its lowest
+positive root, the branch a drive ramped up from zero settles on, and
+flags a bistable drive (three positive roots) as ``ambiguous``.
 
 The effective coupling ``g = g0 * c_s`` keeps the full complex phase of
 the cavity amplitude; the optimal parametric phase depends on it through
@@ -54,8 +56,6 @@ _DEFAULT_G0 = 1e-4
 hbar = 6.62607015e-34 / (2 * math.pi)
 k_B = 1.380649e-23
 
-_PICARD_DAMPING = 0.5
-_PICARD_CAP = 10_000
 _RESIDUAL_TOL = 1e-12
 
 
@@ -159,14 +159,14 @@ class SystemParams:
 class SteadyState:
     """Classical working point plus derived quantities used downstream.
 
-    ``residual`` is the worst absolute mismatch of the two coupled
-    steady-state equations, normalized by ``max(1, |c_s|)``; ``ambiguous``
-    is set when the equivalent cubic in the intracavity photon number has
-    three real positive roots (bistable drive).
+    ``residual`` is the mismatch of the cavity equation
+    ``c_s = eps/(kappa + i delta_eff)`` at the solved point, normalized by
+    ``max(1, |c_s|)``; ``ambiguous`` is set when the cubic in the
+    intracavity photon number has three real positive roots (bistable
+    drive).
     """
 
     c_s: complex
-    b_s: complex
     delta_eff: float
     g: complex
     n_th_m: float
@@ -216,11 +216,6 @@ def rwa_flags(p: SystemParams, g: complex) -> RwaReport:
     )
 
 
-def _mirror_amplitude(c_s: complex, g0: float, p: SystemParams) -> complex:
-    # mirror line of the coupled steady state: b_s = i g0 |c_s|^2 / (gamma_m/2 + i omega_m)
-    return 1j * g0 * abs(c_s) ** 2 / (p.gamma_m / 2 + 1j * p.omega_m)
-
-
 def _epsilon_from_power(p: SystemParams) -> float:
     # epsilon_l = sqrt(2 kappa P / (hbar omega_l)), then normalized by kappa_phys.
     omega_l = p.omega_c_phys - p.delta * p.kappa_phys
@@ -230,36 +225,25 @@ def _epsilon_from_power(p: SystemParams) -> float:
     return eps_phys / p.kappa_phys
 
 
-def _photon_number_cubic(p: SystemParams, xi: float, eps: float) -> list[float]:
-    """Real positive roots of the photon-number cubic.
-
-    The cubic restates the fixed point as a polynomial in n = |c_s|^2;
-    three positive roots is the standard bistability signature.
-    """
-    d0 = p.delta
-    roots = np.roots([xi**2, -2.0 * d0 * xi, p.kappa**2 + d0**2, -eps**2])
-    scale = max(abs(r) for r in roots) or 1.0
-    return [r.real for r in roots if abs(r.imag) < 1e-9 * scale and r.real > 0]
-
-
 def solve_steady_state(p: SystemParams) -> SteadyState:
     """Solve (or construct) the classical steady state for ``p``.
 
-    Cooperativity mode pins the effective detuning to ``omega_m``, sets
+    Cooperativity mode pins the effective detuning to ``omega_m`` and sets
     ``|g| = sqrt(C*kappa*gamma_m)`` with ``arg(g) = -arctan(delta/kappa)``
-    inherited from the cavity response, and reconstructs a consistent
-    (c_s, b_s) pair for diagnostics.
+    inherited from the cavity response; ``c_s = g/g0`` holds by
+    construction, so the residual is 0.
 
-    Power mode iterates the coupled cavity/mirror equations (damped Picard,
-    damping 0.5, cap 10^4) and falls back to the unique real root of the
-    photon-number cubic when iteration stalls.
+    Power mode solves the photon-number cubic and takes its lowest
+    positive root n: the branch a drive ramped up from zero settles on.
+    The mirror shifts the detuning to ``delta - xi*n``, which fixes c_s.
+    ``ambiguous`` is set when the cubic has three positive roots
+    (bistable drive).
 
     Raises
     ------
     NonConvergence
-        If no fixed point meets the residual target (typically a bistable
-        drive; the ``ambiguous`` flag of a successful solve reports the
-        three-real-root case).
+        If the root fails the residual gate: c_s must reproduce itself
+        through the cavity equation to 1e-12, relative to max(1, |c_s|).
     """
     n_th_m = thermal_occupation(p.omega_m_phys, p.temperature)
     n_th_c = thermal_occupation(p.omega_c_phys, p.temperature)
@@ -267,54 +251,30 @@ def solve_steady_state(p: SystemParams) -> SteadyState:
     if p.drive_mode == "cooperativity":
         delta = p.delta
         g_abs = math.sqrt(p.cooperativity * p.kappa * p.gamma_m)
-        phase = -math.atan2(delta, p.kappa)
-        g = g_abs * cmath.exp(1j * phase)
+        g = g_abs * cmath.exp(-1j * math.atan2(delta, p.kappa))
         g0 = p.g0 if p.g0 is not None else _DEFAULT_G0
-        c_s = g / g0
-        b_s = _mirror_amplitude(c_s, g0, p)
-        # residual against the implied drive: exact by construction, but
-        # evaluate it anyway so the invariant is checked, not assumed.
-        eps_implied = c_s * (p.kappa + 1j * delta)
-        resid_c = abs(c_s - eps_implied / (p.kappa + 1j * delta))
-        resid_b = abs(b_s - _mirror_amplitude(c_s, g0, p))
-        residual = max(resid_c, resid_b) / max(1.0, abs(c_s))
-        return SteadyState(c_s=c_s, b_s=b_s, delta_eff=delta, g=g,
-                           n_th_m=n_th_m, n_th_c=n_th_c, residual=residual)
+        return SteadyState(c_s=g / g0, delta_eff=delta, g=g,
+                           n_th_m=n_th_m, n_th_c=n_th_c)
 
     eps = p.epsilon_l if p.epsilon_l is not None else _epsilon_from_power(p)
     g0 = p.g0
-    d0 = p.delta
-
-    def delta_of(c: complex) -> float:
-        b = _mirror_amplitude(c, g0, p)
-        return d0 - g0 * (2.0 * b.real)
-
-    c = eps / (p.kappa + 1j * d0)
-    residual = math.inf
-    for _ in range(_PICARD_CAP):
-        target = eps / (p.kappa + 1j * delta_of(c))
-        residual = abs(c - target) / max(1.0, abs(c))
-        if residual < _RESIDUAL_TOL:
-            break
-        c = (1.0 - _PICARD_DAMPING) * c + _PICARD_DAMPING * target
-
+    # radiation pressure shifts the detuning by xi |c_s|^2
     xi = 2.0 * g0**2 * p.omega_m / (p.gamma_m**2 / 4 + p.omega_m**2)
-    roots = _photon_number_cubic(p, xi, eps)
+    # n = |c_s|^2 solves n (kappa^2 + (delta - xi n)^2) = eps^2
+    cubic = np.roots([xi**2, -2.0 * p.delta * xi, p.kappa**2 + p.delta**2, -eps**2])
+    scale = max(abs(r) for r in cubic) or 1.0
+    roots = [r.real for r in cubic if abs(r.imag) < 1e-9 * scale and r.real > 0]
 
-    if residual >= _RESIDUAL_TOL and len(roots) == 1:
-        # iteration stalled but the fixed point is unique: take the cubic root
-        c = eps / (p.kappa + 1j * (d0 - xi * roots[0]))
-        target = eps / (p.kappa + 1j * delta_of(c))
-        residual = abs(c - target) / max(1.0, abs(c))
-
-    if residual >= _RESIDUAL_TOL:
+    # no positive root only at zero drive, where the cavity is empty
+    c = eps / (p.kappa + 1j * (p.delta - xi * min(roots, default=0.0)))
+    delta_eff = p.delta - xi * abs(c) ** 2
+    residual = abs(c - eps / (p.kappa + 1j * delta_eff)) / max(1.0, abs(c))
+    if not residual < _RESIDUAL_TOL:
         raise NonConvergence(
-            f"steady-state residual {residual:.3e} after {_PICARD_CAP} iterations "
-            f"(drive likely bistable; cubic has {len(roots)} positive roots)"
+            f"steady-state residual {residual:.3e} on the lowest of "
+            f"{len(roots)} positive photon-number roots"
         )
-
-    b = _mirror_amplitude(c, g0, p)
-    return SteadyState(c_s=c, b_s=b, delta_eff=delta_of(c), g=g0 * c,
+    return SteadyState(c_s=c, delta_eff=delta_eff, g=g0 * c,
                        n_th_m=n_th_m, n_th_c=n_th_c, residual=residual,
                        ambiguous=len(roots) >= 3)
 

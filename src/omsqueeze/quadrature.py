@@ -44,6 +44,8 @@ _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])       # Gauss subset
 
+_INITIAL_PANELS = 8          # equal panels in s before any refinement
+
 
 def _eval_panels(F, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # batched K15/G7 on many panels at once; F maps an ndarray of nodes to
@@ -58,8 +60,7 @@ def _eval_panels(F, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.nd
     return k15, np.abs(k15 - g7)
 
 
-def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000,
-                   initial_panels: int = 8):
+def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000):
     """Integrate ``f`` over the whole real line to absolute tolerance.
 
     Parameters
@@ -87,7 +88,7 @@ def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000,
         t = np.tan(s)
         return f(t) * (1.0 + t * t)
 
-    edges = np.linspace(-np.pi / 2, np.pi / 2, initial_panels + 1)
+    edges = np.linspace(-np.pi / 2, np.pi / 2, _INITIAL_PANELS + 1)
     los, his = edges[:-1], edges[1:]
     vals, errs = _eval_panels(F, los, his)
 

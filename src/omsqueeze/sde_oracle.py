@@ -87,6 +87,12 @@ class SimConfig:
                 f"schedule needs {steps:.3g} steps, more than the cap of {_MAX_STEPS:.0e}"
             )
 
+    def steps(self) -> tuple[int, int]:
+        """(burn-in, measured) step counts; the measured count is rounded
+        up to a multiple of the batch count."""
+        n_meas = math.ceil(self.duration / self.dt)
+        return math.ceil(self.burn_in / self.dt), n_meas + (-n_meas) % _N_BATCHES
+
 
 class SimEstimate(NamedTuple):
     var_q: float
@@ -191,8 +197,10 @@ def _propagate(state: np.ndarray, xi: np.ndarray, P: np.ndarray,
 def simulate(dm: DriftModel, cfg: SimConfig) -> SimEstimate:
     """Estimate stationary Q and P variances by trajectory sampling.
 
-    Raises DivergingTrajectory when any component passes 1e6, the symptom
-    of a drift whose transient growth swamps the stationary state.
+    D may be any symmetric positive-semidefinite matrix; anything else
+    raises ValueError. Raises DivergingTrajectory when any component
+    passes 1e6, the symptom of a drift whose transient growth swamps the
+    stationary state.
     """
     M, D = dm.M, dm.D
     if not eigen_stable(M):
@@ -200,15 +208,16 @@ def simulate(dm: DriftModel, cfg: SimConfig) -> SimEstimate:
     burn_floor = _BURN_FACTOR / _rates(M)[1]
     if cfg.burn_in < burn_floor * (1.0 - 1e-12):
         raise ConfigError(f"burn_in={cfg.burn_in} below relaxation floor {burn_floor:.3e}")
-    off_diag = D - np.diag(np.diag(D))
-    if np.abs(off_diag).max() > 1e-14 * max(np.abs(D).max(), 1.0):
-        raise ValueError("diffusion matrix must be diagonal")
+    # rounding-level negative eigenvalues pass; _step_maps clips them
+    scale = 1e-14 * float(np.abs(D).max())
+    if np.abs(D - D.T).max() > scale:
+        raise ValueError("diffusion matrix must be symmetric")
+    if np.linalg.eigvalsh(D)[0] < -scale:
+        raise ValueError("diffusion matrix must be positive semidefinite")
 
     P, W = _block_maps(*_step_maps(M, D, cfg.dt))
 
-    n_burn = math.ceil(cfg.burn_in / cfg.dt)
-    n_meas = math.ceil(cfg.duration / cfg.dt)
-    n_meas += (-n_meas) % _N_BATCHES
+    n_burn, n_meas = cfg.steps()
     batch_len = n_meas // _N_BATCHES
 
     rng_children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)

@@ -8,14 +8,17 @@ symmetrized white-noise strengths (the antisymmetric cross-correlations of
 the quadrature noises cancel in symmetrized covariances and carry no
 weight here — see the lyapunov module notes).
 
-Stability is decided two independent ways: ``routh_hurwitz`` evaluates the
-three explicit inequalities in (kappa, gamma_m, G, |g|) — which are exactly
+Stability is decided two independent ways. ``routh_hurwitz`` reports the
+three explicit inequalities in (kappa, gamma_m, G, |g|), which are exactly
 the nontrivial first-column entries of the Routh table of the quartic
-characteristic polynomial — and ``eigen_stable`` checks the eigenvalue real
-parts directly. The conditions do not involve the parametric phase theta.
+characteristic polynomial, and decides on the slowest decay rate of that
+quartic, which factors into two closed-form quadratics. ``eigen_stable``
+checks the eigenvalue real parts of the drift matrix directly. Neither
+involves the parametric phase theta.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +28,9 @@ from .params import SteadyState, SystemParams
 __all__ = ["DriftModel", "StabilityReport", "build_drift", "routh_hurwitz",
            "eigen_stable"]
 
-# Margin below which a condition (or eigenvalue real part) counts as
-# marginal; marginal points are reported unstable because the downstream
-# variance integrals blow up there.
+# Decay rate (units of kappa) or eigenvalue real part within this of zero
+# counts as marginal; marginal points are reported unstable because the
+# downstream variance integrals blow up there.
 MARGINAL_EPS = 1e-12
 
 
@@ -45,9 +48,13 @@ class DriftModel:
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """Routh-Hurwitz conditions and the decision taken on ``decay_rate``,
+    the slowest decay rate of the fluctuations."""
+
     stable: bool
     conditions: tuple[float, float, float]
     marginal: bool
+    decay_rate: float
 
 
 def build_drift(ss: SteadyState, p: SystemParams) -> DriftModel:
@@ -73,12 +80,30 @@ def build_drift(ss: SteadyState, p: SystemParams) -> DriftModel:
     return DriftModel(M=M, D=D)
 
 
-def routh_hurwitz(p: SystemParams, ss: SteadyState) -> StabilityReport:
-    """Evaluate the three explicit stability conditions.
+def _slowest_decay(kappa: float, gamma_m: float, G: float, g2: float) -> float:
+    """Smallest -Re(root) of the two factors of the characteristic quartic,
+    lam^2 + b lam + c with b = gamma_m/2 + kappa -+ 2G and
+    c = (gamma_m/2)(kappa -+ 2G) + |g|^2."""
+    rates = []
+    for sign in (-1.0, 1.0):
+        b = gamma_m / 2 + kappa + sign * 2 * G
+        c = (gamma_m / 2) * (kappa + sign * 2 * G) + g2
+        disc = b * b - 4 * c
+        if disc < 0:                  # complex pair
+            rates.append(b / 2)
+        else:                         # real pair, free of cancellation
+            q = b + math.copysign(math.sqrt(disc), b)
+            rates += [q / 2, 2 * c / q if q else 0.0]
+    return min(rates)
 
-    Returns the three left-hand sides and ``stable = all > 0``. Any
-    condition within MARGINAL_EPS of zero is flagged marginal and the
-    point is reported unstable.
+
+def routh_hurwitz(p: SystemParams, ss: SteadyState) -> StabilityReport:
+    """Evaluate the three explicit stability conditions and decide.
+
+    Returns the three left-hand sides; ``stable`` means the slowest decay
+    rate exceeds MARGINAL_EPS*kappa, and a rate within that of zero is
+    flagged marginal (and unstable). The conditions differ in dimension,
+    so none of them is compared with a fixed margin.
     """
     k, gam, G = p.kappa, p.gamma_m, p.G
     g2 = abs(ss.g) ** 2
@@ -91,10 +116,9 @@ def routh_hurwitz(p: SystemParams, ss: SteadyState) -> StabilityReport:
           + k * gam * (2 * k + gam) * (k * gam ** 2 + (2 * k + 1.5 * gam) * g2))
     c3 = 0.25 * gam ** 2 * t + g2 * (g2 + k * gam)
 
-    conds = (c1, c2, c3)
-    marginal = any(abs(c) <= MARGINAL_EPS for c in conds)
-    stable = all(c > MARGINAL_EPS for c in conds)
-    return StabilityReport(stable=stable, conditions=conds, marginal=marginal)
+    rate = _slowest_decay(k, gam, G, g2)
+    return StabilityReport(stable=rate > MARGINAL_EPS * k, conditions=(c1, c2, c3),
+                           marginal=abs(rate) <= MARGINAL_EPS * k, decay_rate=rate)
 
 
 def eigen_stable(M: np.ndarray) -> bool:

@@ -1,9 +1,7 @@
 """Closed forms of the eliminated-cavity model and the feedback extension."""
 
-import dataclasses
 import math
 
-import numpy as np
 import pytest
 
 from omsqueeze import (
@@ -11,17 +9,10 @@ from omsqueeze import (
     DomainError,
     FeedbackUnstable,
     SystemParams,
-    adiabatic_cavity_fluctuation,
     adiabatic_variance_p,
     adiabatic_variance_p_approx,
     feedback_variance_p,
     solve_steady_state,
-)
-from omsqueeze.adiabatic import (
-    drift_decay_rate,
-    momentum_decay_rate,
-    optical_noise_coefficient,
-    thermal_noise_coefficient,
 )
 
 
@@ -41,13 +32,19 @@ class TestClosedFormVariance:
                 value, rel=1e-12)
 
     def test_threshold_gain_estimate(self):
-        # n = 0 collapses the estimate to 1/4 + 1/(2C) with C = 400
-        assert adiabatic_variance_p_approx(0.0, 0.0) == pytest.approx(
+        # n = 0 collapses the estimate to 1/4 + 1/(2C)
+        def inp(C: float, temperature: float = 0.0) -> AdiabaticInputs:
+            p = SystemParams(gamma_m=1e-5, cooperativity=C,
+                             temperature=temperature)
+            return AdiabaticInputs.from_system(solve_steady_state(p), p)
+
+        assert adiabatic_variance_p_approx(inp(400.0)) == pytest.approx(
             0.25125, rel=1e-15)
-        p = SystemParams(gamma_m=1e-5, cooperativity=400.0, temperature=0.01)
-        ss = solve_steady_state(p)
-        assert adiabatic_variance_p_approx(ss.n_th_c, ss.n_th_m) == pytest.approx(
+        assert adiabatic_variance_p_approx(inp(400.0, 0.01)) == pytest.approx(
             0.3947023433264465, rel=1e-12)
+        # the working cooperativity, not a frozen C = 400
+        assert adiabatic_variance_p_approx(inp(100.0)) == pytest.approx(
+            0.255, rel=1e-12)
 
     def test_cooperativity_doubling_halves_thermal_term(self):
         def inp(C: float) -> AdiabaticInputs:
@@ -125,59 +122,3 @@ class TestFeedback:
                 2.0 * inp.cooperativity)
             assert feedback_variance_p(inp) == pytest.approx(
                 adiabatic_variance_p(inp) / factor, rel=1e-15)
-
-
-class TestRatesAndNoise:
-    def test_frozen_values(self):
-        inp = inputs_at()
-        assert momentum_decay_rate(inp) == pytest.approx(
-            0.0020202020202020198, rel=1e-12)
-        assert drift_decay_rate(inp) == pytest.approx(
-            0.10101010101010079, rel=1e-9)
-        assert optical_noise_coefficient(inp) == pytest.approx(
-            0.0010203040506070807, rel=1e-12)
-        assert thermal_noise_coefficient(inp) == pytest.approx(5e-06, rel=1e-12)
-
-    def test_rate_formulas(self):
-        inp = inputs_at()
-        g2 = abs(inp.g) ** 2
-        assert momentum_decay_rate(inp) == pytest.approx(
-            g2 / (inp.kappa * (1 + inp.G0)), rel=1e-15)
-        assert drift_decay_rate(inp) == pytest.approx(
-            g2 / ((1 - inp.G0 ** 2) * inp.kappa), rel=1e-15)
-
-
-class TestCavityFluctuation:
-    def test_matches_two_by_two_inversion(self, opt_state, opt_params):
-        # independent check: solve the adiabatic cavity pair directly
-        k, G, th = opt_params.kappa, opt_params.G, opt_params.theta
-        g = opt_state.g
-        A = np.array([[k, -2 * G * np.exp(1j * th)],
-                      [-2 * G * np.exp(-1j * th), k]])
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            db, dbd, cin, cind = rng.normal(size=4) + 1j * rng.normal(size=4)
-            rhs = np.array([
-                1j * g * db + math.sqrt(2 * k) * cin,
-                -1j * np.conj(g) * dbd + math.sqrt(2 * k) * cind,
-            ])
-            expected = np.linalg.solve(A, rhs)[0]
-            got = adiabatic_cavity_fluctuation(db, dbd, cin, cind,
-                                               opt_state, opt_params)
-            assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_gain_off_reduces_to_cavity_filter(self, opt_state, opt_params):
-        p = dataclasses.replace(opt_params, G=0.0)
-        got = adiabatic_cavity_fluctuation(1.0, 0.0, 0.0, 0.0, opt_state, p)
-        assert got == pytest.approx(1j * opt_state.g / p.kappa, rel=1e-15)
-
-    def test_diverges_at_gain_half_kappa(self, opt_state, opt_params):
-        p = dataclasses.replace(opt_params, G=0.5)
-        with pytest.raises(DomainError):
-            adiabatic_cavity_fluctuation(1.0, 0.0, 0.0, 0.0, opt_state, p)
-
-    def test_linear_in_inputs(self, opt_state, opt_params):
-        a = adiabatic_cavity_fluctuation(1.0, 0.0, 0.0, 0.0, opt_state, opt_params)
-        b = adiabatic_cavity_fluctuation(0.0, 1.0, 0.0, 0.0, opt_state, opt_params)
-        both = adiabatic_cavity_fluctuation(2.0, 3.0, 0.0, 0.0, opt_state, opt_params)
-        assert both == pytest.approx(2 * a + 3 * b, rel=1e-12)

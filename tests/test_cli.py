@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -69,6 +70,19 @@ class TestSweeps:
         _, rows = read_table(path)
         # deep in the adiabatic regime the variance barely moves with C
         assert abs(float(rows[0]["var_p"]) - float(rows[-1]["var_p"])) < 0.01
+
+    def test_sweep_cooperativity_at_low_damping(self, tmp_path):
+        # gamma_m^2 sets the scale of the third Routh-Hurwitz condition;
+        # these points are stable and must carry values
+        code, path = run(tmp_path, "sweep-cooperativity", "--gamma-m", "1e-6",
+                         "--cooperativity", "1", "--gain", "0.3",
+                         "--range", "0", "2", "--points", "5")
+        assert code == 0
+        _, rows = read_table(path)
+        assert [row["stable"] for row in rows] == ["true"] * 5
+        assert float(rows[0]["var_p"]) == pytest.approx(0.5, rel=1e-6)
+        assert float(rows[1]["var_p"]) == pytest.approx(0.43390274661523626,
+                                                        rel=1e-6)
 
     def test_sweep_temperature(self, tmp_path):
         code, path = run(tmp_path, "sweep-temperature", "--config", "fig6",
@@ -178,6 +192,28 @@ class TestAnalyticOracleValidate:
                              "var_q_hat", "stderr_q", "var_p_hat", "stderr_p",
                              "lyapunov_var_q", "lyapunov_var_p", "z_q", "z_p"]
         assert "8 trajectories" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("quiet", [False, True])
+    def test_oracle_logs_its_plan(self, tmp_path, caplog, quiet):
+        argv = ["oracle", *QUICK_FLAGS, "--trajectories", "2"]
+        code, path = run(tmp_path, *argv, *(["--quiet"] if quiet else []))
+        assert code == 0
+        plans = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("sampling ")]
+        if quiet:
+            assert plans == []
+            return
+        row = read_table(path)[1][0]
+        dt = float(row["dt"])
+        assert len(plans) == 1
+        match = re.fullmatch(r"sampling (\d+) steps \((\d+) burn-in \+ "
+                             r"(\d+) measured\) x 2 trajectories at dt=(\S+)",
+                             plans[0])
+        total, n_burn, n_meas = map(int, match.groups()[:3])
+        assert total == n_burn + n_meas and n_meas % 32 == 0
+        assert n_burn == math.ceil(float(row["burn_in"]) / dt)
+        assert n_meas == 32 * math.ceil(float(row["duration"]) / dt / 32)
+        assert float(match[4]) == pytest.approx(dt, rel=1e-3)
 
     def test_validate_small(self, tmp_path, capsys):
         code, path = run(tmp_path, "validate", "--seed", "3",
@@ -328,8 +364,9 @@ class TestExitCodes:
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        # overflow in the steady state, Routh-Hurwitz and the coefficients
-        (["analytic", "--gamma-m", "1e-5", "--cooperativity", "1e308"],
+        # overflow in Routh-Hurwitz (from analytic and from the map) and
+        # in the coefficients
+        (["analytic", "--gamma-m", "1e300", "--cooperativity", "1"],
          "OverflowError: "),
         (["stability-map", "--gamma-m", "1e-5", "--cooperativity", "400",
           "--gain-range", "0", "1e300", "--gain-points", "3",
@@ -339,6 +376,9 @@ class TestExitCodes:
         # the coefficients overflow to nan, which the writer refuses
         (["spectrum", "--gamma-m", "1e-5", "--cooperativity", "1e300",
           "--points", "3"], "non-finite result: S_Q = nan"),
+        # |g|^2 = 1e303 is finite; the spectra it feeds overflow to nan
+        (["analytic", "--gamma-m", "1e-5", "--cooperativity", "1e308"],
+         "integrand returned non-finite values"),
     ])
     def test_overflow_is_numerical_failure(self, tmp_path, capsys, argv, message):
         with warnings.catch_warnings():

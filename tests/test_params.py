@@ -139,15 +139,25 @@ class TestSteadyState:
         ss_coop = solve_steady_state(p_coop)
         assert abs(ss_coop.g) == pytest.approx(abs(ss_pow.g), rel=1e-9)
 
-    def test_stalled_iteration_takes_the_unique_cubic_root(self):
-        # strong backaction: damped Picard stalls and the solve falls back
-        # to the single positive root of the photon-number cubic
+    def test_strong_backaction_takes_the_unique_cubic_root(self):
+        # strong backaction pushes the detuning through zero; the cubic
+        # has a single positive root
         p = SystemParams(gamma_m=1e-3, epsilon_l=2000.0, g0=1e-2, detuning=5.0)
         ss = solve_steady_state(p)
         assert ss.residual < 1e-12
         assert not ss.ambiguous
         assert abs(ss.c_s) ** 2 == pytest.approx(400000.0008275864, rel=1e-9)
         assert ss.delta_eff == pytest.approx(-2.999999996551727, rel=1e-9)
+
+    def test_bistable_drive_takes_the_lowest_root(self):
+        # three positive roots: the branch a drive ramped up from zero
+        # settles on is the lowest photon number
+        p = SystemParams(gamma_m=1e-3, epsilon_l=800.0, g0=1e-2, detuning=5.0)
+        ss = solve_steady_state(p)
+        assert ss.ambiguous
+        assert ss.residual < 1e-12
+        assert abs(ss.c_s) ** 2 == pytest.approx(31978.71429, rel=1e-9)
+        assert ss.delta_eff == pytest.approx(4.36042571576091, rel=1e-9)
 
     def test_occupations_attached(self):
         p = SystemParams(gamma_m=1e-5, cooperativity=400.0, temperature=0.01)

@@ -222,11 +222,29 @@ class TestGuards:
             simulate(dm, SimConfig(dt=1e-3, duration=1.0, burn_in=1.0))
 
     def test_off_diagonal_diffusion_rejected(self, quick_model):
+        # one off-diagonal entry without its mirror image: not symmetric
         D = quick_model.D.copy()
         D[0, 1] = 0.3
-        with pytest.raises(ValueError, match="diagonal"):
+        with pytest.raises(ValueError, match="symmetric"):
             simulate(DriftModel(M=quick_model.M, D=D),
                      SimConfig(dt=1e-3, duration=1.0, burn_in=60.0))
+
+    def test_off_diagonal_psd_diffusion_matches_lyapunov(self, quick_model):
+        # a correlated noise source on Q and the cavity x quadrature
+        v = np.array([1.0, 0.0, 0.6, 0.0])
+        dm = DriftModel(M=quick_model.M, D=quick_model.D + 0.3 * np.outer(v, v))
+        cov = steady_covariance(dm)
+        assert abs(cov.var_q - steady_covariance(quick_model).var_q) > 0.05
+        est = simulate(dm, suggest_config(dm, seed=5, n_traj=8, batch_time=2.0))
+        assert abs(est.var_q - cov.var_q) / est.stderr_q < 3.0
+        assert abs(est.var_p - cov.var_p) / est.stderr_p < 3.0
+
+    def test_indefinite_diffusion_rejected(self):
+        dm = drift_for(1e-2, 20.0, 0.3, 0.4)
+        D = dm.D.copy()
+        D[1, 1] = -D[1, 1]
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            simulate(DriftModel(M=dm.M, D=D), suggest_config(dm, n_traj=2))
 
     def test_divergence_detected(self):
         # stable eigenvalues but a huge non-normal transient: the schedule

@@ -106,21 +106,32 @@ class TestEigenvalueOracle:
 
 class TestStabilityAgreement:
     def test_routh_matches_eigenvalues_on_random_grid(self):
-        # both deciders must agree everywhere, including unstable points
-        rng = np.random.default_rng(7)
-        disagreements = 0
-        for _ in range(2000):
-            p = SystemParams(
-                gamma_m=float(10.0 ** rng.uniform(-5, -2)),
-                cooperativity=float(rng.uniform(0.0, 1000.0)),
-                G=float(rng.uniform(0.0, 1.0)),
-                theta=float(rng.uniform(0.0, 2 * math.pi)),
-            )
-            ss = solve_steady_state(p)
-            rh = routh_hurwitz(p, ss)
-            ev = eigen_stable(build_drift(ss, p).M)
-            disagreements += rh.stable != ev
-        assert disagreements == 0
+        # both deciders must agree everywhere, including unstable points;
+        # the second box has low damping, where c3 scales like gamma_m^2
+        # and a fixed margin on the conditions called stable points marginal
+        wide = np.random.default_rng(7)
+        low = np.random.default_rng(5)
+        boxes = {
+            "wide": (SystemParams(
+                gamma_m=float(10.0 ** wide.uniform(-5, -2)),
+                cooperativity=float(wide.uniform(0.0, 1000.0)),
+                G=float(wide.uniform(0.0, 1.0)),
+                theta=float(wide.uniform(0.0, 2 * math.pi)),
+            ) for _ in range(2000)),
+            "low damping": (SystemParams(
+                gamma_m=float(10.0 ** low.uniform(-8, -5)),
+                cooperativity=float(low.uniform(0.0, 50.0)),
+                G=float(low.uniform(0.0, 0.6)),
+            ) for _ in range(3000)),
+        }
+        for box, draws in boxes.items():
+            disagreements = 0
+            for p in draws:
+                ss = solve_steady_state(p)
+                rh = routh_hurwitz(p, ss)
+                ev = eigen_stable(build_drift(ss, p).M)
+                disagreements += rh.stable != ev
+            assert disagreements == 0, box
 
     def test_instability_onset_location(self):
         # threshold sits just above G = kappa/2; bisect the flip
