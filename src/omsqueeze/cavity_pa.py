@@ -64,9 +64,14 @@ def cavity_spectra(omega, p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cavity_variances(p: SystemParams) -> tuple[float, float]:
-    """Stationary quadrature variances (var_x, var_y) of the empty cavity."""
+    """Stationary quadrature variances (var_x, var_y) of the empty cavity.
+
+    The narrowest feature is the slow amplitude-phase mode, whose decay
+    rate kappa - 2G grades the quadrature mesh.
+    """
     _threshold_guard(p)
-    var_x, var_y = integrate_line(lambda w: np.stack(cavity_spectra(w, p)))
+    var_x, var_y = integrate_line(lambda w: np.stack(cavity_spectra(w, p)),
+                                  width=p.kappa - 2.0 * p.G)
     return float(var_x) / (2.0 * np.pi), float(var_y) / (2.0 * np.pi)
 
 

@@ -19,11 +19,33 @@ __all__ = ["Covariance", "steady_covariance"]
 # flattened upper triangle of a symmetric 4x4
 _PAIRS = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1),
           (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
-_COL = {p: k for k, p in enumerate(_PAIRS)}
+_I, _J = (np.array(ix) for ix in zip(*_PAIRS))
 
 
-def _col(i: int, j: int) -> int:
-    return _COL[(i, j) if i <= j else (j, i)]
+def _assembly():
+    # entry order of the reduced system: row (i, j) takes M[i, k] at column
+    # (k, j) and M[j, k] at column (i, k), for k = 0..3 in turn
+    col = {pair: n for n, pair in enumerate(_PAIRS)}
+    rows, cols, src = [], [], []
+    for row, (i, j) in enumerate(_PAIRS):
+        for k in range(4):
+            for a, b, m in ((k, j, 4 * i + k), (i, k, 4 * j + k)):
+                rows.append(row)
+                cols.append(col[(a, b) if a <= b else (b, a)])
+                src.append(m)
+    return np.array(rows), np.array(cols), np.array(src)
+
+
+_ROWS, _COLS, _SRC = _assembly()
+
+
+def _reduced_system(M: np.ndarray, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 10x10 system A x = b in the upper-triangle entries x of V."""
+    A = np.zeros((10, 10))
+    # unbuffered and in _assembly's order: repeated (row, column) entries
+    # sum as a loop over the pairs would
+    np.add.at(A, (_ROWS, _COLS), M.ravel()[_SRC])
+    return A, -D[_I, _J]
 
 
 @dataclass(frozen=True)
@@ -52,21 +74,15 @@ def steady_covariance(dm: DriftModel) -> Covariance:
     if not eigen_stable(M):
         raise UnstableSystem("drift matrix has a non-decaying mode")
 
-    A = np.zeros((10, 10))
-    b = np.zeros(10)
-    for row, (i, j) in enumerate(_PAIRS):
-        for k in range(4):
-            A[row, _col(k, j)] += M[i, k]
-            A[row, _col(i, k)] += M[j, k]
-        b[row] = -D[i, j]
+    A, b = _reduced_system(M, D)
     try:
         x = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise SingularSolve("Lyapunov system is singular") from exc
 
     V = np.empty((4, 4))
-    for (i, j), v in zip(_PAIRS, x):
-        V[i, j] = V[j, i] = v
+    V[_I, _J] = x
+    V[_J, _I] = x
 
     scale = np.linalg.norm(D)
     residual = float(np.linalg.norm(M @ V + V @ M.T + D))

@@ -19,7 +19,7 @@ All frequencies are in cavity linewidth units, matching SystemParams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import cos, sin, sqrt
 
 import numpy as np
 
@@ -65,9 +65,11 @@ def _coeffs(omega, ss: SteadyState, p: SystemParams):
 
     A couples a quadrature to c_in, B to c_in^dag; E and F play the same
     roles for the thermal inputs. Subscript 1 is the mirror Q quadrature,
-    2 is P; E2 is F1 (both quadratures see one thermal cross term).
+    2 is P; E2 is F1 (both quadratures see one thermal cross term). The
+    frequency-independent prework runs on Python scalars, and the shared
+    quartic denominator is inverted once.
     """
-    g = ss.g
+    g = complex(ss.g)
     G, k, gam = p.G, p.kappa, p.gamma_m
     gr, gi = g.real, g.imag
     g2 = gr * gr + gi * gi
@@ -76,23 +78,25 @@ def _coeffs(omega, ss: SteadyState, p: SystemParams):
     v = 0.5 * gam - 1j * omega
     den = (u * v + g2) ** 2 - 4.0 * G * G * v * v
 
-    eith = complex(np.cos(p.theta), np.sin(p.theta))
-    alpha = eith * np.conj(g) - np.conj(eith) * g
-    beta = eith * np.conj(g) + np.conj(eith) * g
-    gg = g * g * np.conj(eith)
-    big_gamma = gg + np.conj(gg)
-    delta_gamma = gg - np.conj(gg)
+    eith = complex(cos(p.theta), sin(p.theta))
+    alpha = eith * g.conjugate() - eith.conjugate() * g
+    beta = eith * g.conjugate() + eith.conjugate() * g
+    gg = g * g * eith.conjugate()
+    big_gamma = gg + gg.conjugate()
+    delta_gamma = gg - gg.conjugate()
 
-    s2k = sqrt(2.0 * k)
-    sg = sqrt(gam)
+    rden = 1.0 / den
+    rk = sqrt(2.0 * k) * rden
+    rg = sqrt(gam) * rden
+    thermal = (u * u - 4.0 * G * G) * v + g2 * u
 
-    A1 = (1j * s2k / den) * (v * (G * alpha - 1j * u * gi) - 1j * g2 * gi)
-    B1 = (s2k / den) * (v * (G * beta - u * gr) - g2 * gr)
-    E1 = (sg / den) * ((u * u - 4.0 * G * G) * v + g2 * u + G * big_gamma)
-    F1 = (sg / den) * (1j * G * delta_gamma)
-    A2 = (s2k / den) * (v * (G * beta + u * gr) + g2 * gr)
-    B2 = (-1j * s2k / den) * (v * (G * alpha + 1j * u * gi) + 1j * g2 * gi)
-    F2 = (sg / den) * ((u * u - 4.0 * G * G) * v + g2 * u - G * big_gamma)
+    A1 = 1j * rk * (v * (G * alpha - 1j * u * gi) - 1j * g2 * gi)
+    B1 = rk * (v * (G * beta - u * gr) - g2 * gr)
+    E1 = rg * (thermal + G * big_gamma)
+    F1 = rg * (1j * G * delta_gamma)
+    A2 = rk * (v * (G * beta + u * gr) + g2 * gr)
+    B2 = -1j * rk * (v * (G * alpha + 1j * u * gi) + 1j * g2 * gi)
+    F2 = rg * (thermal - G * big_gamma)
     return A1, B1, E1, F1, A2, B2, F1, F2, den
 
 
@@ -145,7 +149,7 @@ def quadrature_variances(ss: SteadyState, p: SystemParams) -> VariancePair:
         s = spectrum(om, ss, p)
         return np.stack([s.S_Q, s.S_P])
 
-    var_q, var_p = integrate_line(f) / (2.0 * np.pi)
+    var_q, var_p = integrate_line(f, width=report.decay_rate) / (2.0 * np.pi)
     return VariancePair(var_q=float(var_q), var_p=float(var_p))
 
 

@@ -13,8 +13,22 @@ A stack is integrated in one pass: every component must meet the
 tolerance, and a panel is refined when its worst component needs it.
 Panels are evaluated in batches so per-call overhead stays off the sweep
 hot path.
+
+Initial mesh. Without a hint it is 8 equal panels in s. A caller that
+knows the width of the narrowest feature, centred at zero frequency (the
+slowest decay rate of a mechanical peak, say), passes it as ``width``:
+the mesh is then 16 equal panels, and when the feature is narrower than
+the first of them, edges at +-atan(width * 2^j) for j = -2, -1, ... inside
+that panel grade it down to the feature. A mechanical peak 1e-9 wide
+then needs a few refinement rounds at most, where it needed up to thirty.
+
+Split rule. Each round splits, in one batch, every panel whose worst
+component holds more than its share abs_tol / n_panels of the error
+budget; the panel with the largest error always qualifies.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -44,7 +58,28 @@ _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])       # Gauss subset
 
-_INITIAL_PANELS = 8          # equal panels in s before any refinement
+_INITIAL_PANELS = 8          # equal panels in s without a width hint
+_GRADED_PANELS = 16          # equal panels in s with one
+_GRADE_FROM = -2             # finest graded edge: atan(width * 2**_GRADE_FROM)
+
+
+def _initial_edges(width: float | None) -> np.ndarray:
+    # uniform in s; a feature narrower than the first uniform panel adds
+    # the graded edges +-atan(width * 2^j), j = _GRADE_FROM, ..., that fall
+    # inside that panel
+    if width is None:
+        return np.linspace(-np.pi / 2, np.pi / 2, _INITIAL_PANELS + 1)
+    if not width > 0.0:
+        raise ValueError(f"feature width must be positive, got {width}")
+    uniform = np.linspace(-np.pi / 2, np.pi / 2, _GRADED_PANELS + 1)
+    first = np.pi / _GRADED_PANELS
+    if math.atan(width) >= first:
+        return uniform
+    graded = []
+    while (e := math.atan(width * 2.0 ** (_GRADE_FROM + len(graded)))) < first:
+        graded.append(e)
+    graded = np.array(graded)
+    return np.sort(np.concatenate([uniform, graded, -graded]))
 
 
 def _eval_panels(F, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -60,7 +95,8 @@ def _eval_panels(F, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.nd
     return k15, np.abs(k15 - g7)
 
 
-def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000):
+def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000,
+                   width: float | None = None):
     """Integrate ``f`` over the whole real line to absolute tolerance.
 
     Parameters
@@ -72,6 +108,9 @@ def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000):
         Target on the summed panel error estimates, met by every component.
     max_panels : int
         Subdivision cap; exceeding it raises QuadratureFailure.
+    width : float, optional
+        Width of the narrowest feature of ``f``, centred at zero frequency;
+        it grades the initial mesh. None starts from uniform panels.
 
     Returns
     -------
@@ -88,7 +127,7 @@ def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000):
         t = np.tan(s)
         return f(t) * (1.0 + t * t)
 
-    edges = np.linspace(-np.pi / 2, np.pi / 2, _INITIAL_PANELS + 1)
+    edges = _initial_edges(width)
     los, his = edges[:-1], edges[1:]
     vals, errs = _eval_panels(F, los, his)
 
@@ -106,7 +145,7 @@ def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000):
         # split every panel whose worst component holds more than its share
         # of the budget; with finite errors the worst panel always qualifies
         worst = errs.reshape(-1, los.size).max(axis=0)
-        split = worst >= max(abs_tol / los.size, 0.5 * worst.max())
+        split = worst > abs_tol / los.size
         mid = 0.5 * (los[split] + his[split])
         new_lo = np.column_stack([los[split], mid]).ravel()
         new_hi = np.column_stack([mid, his[split]]).ravel()

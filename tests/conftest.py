@@ -20,3 +20,16 @@ def opt_params():
 @pytest.fixture(scope="session")
 def opt_state(opt_params):
     return solve_steady_state(opt_params)
+
+
+def draw_low_damping_params(rng):
+    """A working point from the low-damping box, stable or not: the mirror
+    damping reaches down to the 1e-9 kappa marginal guard of the variance
+    integral and the cooperativity spans six decades."""
+    return SystemParams(
+        gamma_m=float(10.0 ** rng.uniform(-9.0, -4.0)),
+        cooperativity=float(10.0 ** rng.uniform(-2.0, 4.0)),
+        G=float(rng.uniform(0.0, 0.5)),
+        theta=float(rng.uniform(0.0, 2.0 * math.pi)),
+        temperature=float(rng.choice([0.0, 0.02])),
+    )

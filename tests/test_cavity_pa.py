@@ -114,7 +114,7 @@ class TestVariances:
         calls = []
         engine = cavity_pa.integrate_line
         monkeypatch.setattr(cavity_pa, "integrate_line",
-                            lambda f: calls.append(f) or engine(f))
+                            lambda f, **kw: calls.append(f) or engine(f, **kw))
         cavity_variances(cavity_only(0.3, theta=0.5))
         assert len(calls) == 1
 

@@ -13,6 +13,7 @@ from omsqueeze import (
     solve_steady_state,
     steady_covariance,
 )
+from omsqueeze import lyapunov
 from omsqueeze.stability import DriftModel
 
 from conftest import draw_stable_params
@@ -80,6 +81,32 @@ class TestSolverProperties:
                             lambda a, b: calls.append(a.shape) or solve(a, b))
         steady_covariance(build_drift(opt_state, opt_params))
         assert calls == [(10, 10)]
+
+    def test_assembly_equals_the_pair_loop(self):
+        # reference: the reduced system filled entry by entry, pair by pair
+        pairs = lyapunov._PAIRS
+        col = {pair: n for n, pair in enumerate(pairs)}
+
+        def loop_system(M, D):
+            A = np.zeros((10, 10))
+            b = np.zeros(10)
+            for row, (i, j) in enumerate(pairs):
+                for k in range(4):
+                    A[row, col[(k, j) if k <= j else (j, k)]] += M[i, k]
+                    A[row, col[(i, k) if i <= k else (k, i)]] += M[j, k]
+                b[row] = -D[i, j]
+            return A, b
+
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            p = draw_stable_params(rng)
+            dm = build_drift(solve_steady_state(p), p)
+            # a dense perturbation fills every entry the drift leaves zero
+            M = dm.M + rng.uniform() * rng.normal(size=(4, 4))
+            for got, want in zip(lyapunov._reduced_system(M, dm.D),
+                                 loop_system(M, dm.D)):
+                np.testing.assert_array_equal(got, want)
+                assert (np.signbit(got) == np.signbit(want)).all()
 
     def test_positive_definite(self):
         rng = np.random.default_rng(13)

@@ -14,7 +14,12 @@ from omsqueeze import (
     spectrum_zout,
 )
 
+from omsqueeze import output_detection
+from omsqueeze.cli import _resolve_config
 from omsqueeze.output_detection import _output_arrays
+from omsqueeze.params import params_from_mapping
+
+from conftest import draw_stable_params
 
 PHASE_QUAD = math.pi / 2
 
@@ -134,6 +139,71 @@ class TestFindBand:
             squeezed = quadrature_variances(ss, p).var_p < 0.5 - 1e-9
             band = find_band(PHASE_QUAD, ss, p)
             assert (band is not None) == squeezed
+
+
+def scalar_band_edge(phi: float, ss, p) -> float | None:
+    """Reference band edge: one spectrum evaluation per search step.
+
+    March outward from 1e-3 kappa, doubling up to 10 kappa, until the
+    spectrum is back at the vacuum level, then bisect to 1e-5 kappa; None
+    when there is no band at zero frequency.
+    """
+    def s(w):
+        return float(spectrum_zout(np.float64(w), phi, ss, p))
+
+    if s(0.0) >= 0.5 - 1e-12:
+        return None
+    cap = 10.0 * p.kappa
+    lo, hi = 0.0, 1e-3 * p.kappa
+    while s(hi) < 0.5:
+        lo = hi
+        if hi >= cap:
+            return cap
+        hi = min(2.0 * hi, cap)
+    while hi - lo > 1e-5:
+        mid = 0.5 * (lo + hi)
+        if s(mid) < 0.5:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestBatchedBandSearch:
+    PHASES = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
+
+    def test_edges_equal_the_scalar_bisection(self, monkeypatch):
+        calls = []
+        engine = output_detection.spectrum_zout
+        monkeypatch.setattr(output_detection, "spectrum_zout",
+                            lambda om, *a: calls.append(np.size(om)) or engine(om, *a))
+        rng = np.random.default_rng(5)
+        cases = bands = 0
+        for _ in range(250):
+            p = draw_stable_params(rng)
+            ss = solve_steady_state(p)
+            for phi in self.PHASES:
+                calls.clear()
+                band = find_band(phi, ss, p)
+                edge = scalar_band_edge(phi, ss, p)
+                cases += 1
+                if edge is None:
+                    assert band is None
+                    continue
+                bands += 1
+                assert (band.omega_lo, band.omega_hi) == (-edge, edge)
+                # the 4097-point grid for the minimum is the last call
+                assert calls[-1] == 4097
+                assert len(calls) - 1 <= 6
+        assert cases == 1000
+        assert bands >= 150
+
+    def test_fig8_edges_equal_the_scalar_bisection(self):
+        p = params_from_mapping(_resolve_config("fig8"))
+        ss = solve_steady_state(p)
+        band = find_band(PHASE_QUAD, ss, p)
+        edge = scalar_band_edge(PHASE_QUAD, ss, p)
+        assert (band.omega_lo, band.omega_hi) == (-edge, edge)
 
 
 class TestDetectionMap:

@@ -64,6 +64,27 @@ class TestIntegrateLine:
         got = integrate_line(lambda x: np.exp(-((x - mu) / sigma) ** 2 / 2.0))
         assert got == pytest.approx(sigma * math.sqrt(2 * math.pi), rel=1e-7)
 
+    def test_width_grades_the_mesh_at_a_narrow_peak(self):
+        # a 1e-9 wide Lorentzian: the graded initial mesh resolves it in
+        # far fewer integrand calls than refining the uniform one
+        a = 1e-9
+        counts = {}
+        for width in (None, a):
+            calls = []
+
+            def f(x):
+                calls.append(x.size)
+                return a / (x * x + a * a)
+            got = integrate_line(f, width=width)
+            assert got == pytest.approx(math.pi, abs=1e-8)
+            counts[width] = len(calls)
+        assert counts[a] <= 3 < counts[None]
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
+    def test_non_positive_width_raises(self, width):
+        with pytest.raises(ValueError):
+            integrate_line(lambda x: np.exp(-x * x), width=width)
+
     def test_panel_cap_raises(self):
         a = 1e-9
         with pytest.raises(QuadratureFailure):
