@@ -2,11 +2,13 @@
 
 With the optomechanical coupling switched off the cavity quadratures close
 on themselves and their spectra follow from a 2x2 response, evaluated by
-the package's one two-bath rule (mech_spectra ``_symmetrized``, with its
-one imaginary-residual tolerance) with the mirror bath left out. This is the
-reference against which the coupled system's mechanical squeezing is
-compared: at theta = 0 the intracavity phase quadrature squeezes by the
-same amount the mirror momentum does at the optimal phase.
+the package's one two-bath rule (mech_spectra ``_symmetrized``) with the
+mirror bath left out. kappa, G and theta are real, so each input coupling
+obeys X(-omega) = X(omega)*; it is evaluated once, at +omega, and a
+spectrum is (|A|^2 + |B|^2)(n_c + 1/2). This is the reference against
+which the coupled system's mechanical squeezing is compared: at theta = 0
+the intracavity phase quadrature squeezes by the same amount the mirror
+momentum does at the optimal phase.
 
 Below threshold means G < kappa/2; at and above it the intracavity field
 has no stationary state.
@@ -36,11 +38,13 @@ def _coeff_arrays(omega: np.ndarray, p: SystemParams):
     """Input couplings (A3, B3, A4, B4) of the empty driven cavity.
 
     A3, B3 feed the amplitude quadrature; A4, B4 the phase quadrature.
-    B3 = A4 identically (the same PA cross term couples both ways).
+    B3 = A4 identically (the same PA cross term couples both ways). The
+    denominator u^2 - 4G^2 is formed as (u - 2G)(u + 2G), which keeps its
+    relative accuracy near threshold, where u^2 and 4G^2 nearly cancel.
     """
     k, G = p.kappa, p.G
     u = k - 1j * omega
-    den = u * u - 4.0 * G * G
+    den = (u - 2.0 * G) * (u + 2.0 * G)
     s2k = sqrt(2.0 * k)
     gc = 2.0 * G * cos(p.theta)
     gs = 2.0 * G * sin(p.theta)
@@ -54,12 +58,9 @@ def cavity_spectra(omega, p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrized amplitude and phase quadrature spectra (S_x, S_y)."""
     _threshold_guard(p)
     om = np.asarray(omega, dtype=float)
-    A3p, B3p, A4p, B4p = _coeff_arrays(om, p)
-    A3m, B3m, A4m, B4m = _coeff_arrays(-om, p)
-    (S_x, S_y), _ = _symmetrized(
-        [((A3p, B3p, 0.0, 0.0), (A3m, B3m, 0.0, 0.0)),
-         ((A4p, B4p, 0.0, 0.0), (A4m, B4m, 0.0, 0.0))],
-        thermal_occupation(p.omega_c_phys, p.temperature), 0.0)
+    A3, B3, A4, B4 = _coeff_arrays(om, p)
+    S_x, S_y = _symmetrized([(A3, B3, 0.0, 0.0), (A4, B4, 0.0, 0.0)],
+                            thermal_occupation(p.omega_c_phys, p.temperature), 0.0)
     return S_x, S_y
 
 

@@ -7,12 +7,17 @@ frequency sharing a single quartic denominator; the symmetrized spectrum
 of a quadrature is then a two-term sum over the input baths, and its
 integral over the whole line gives the stationary variance.
 
-That sum, Re[(A+A- + B+B-)(n_c + 1/2) + (E+E- + F+F-)(n_m + 1/2)] with
-couplings at +-omega, is the one rule behind every spectrum in the
-package: ``_symmetrized`` evaluates it here, for the homodyne output
+The symmetrized sum pairs each coupling at +omega with its partner at
+-omega. Every parameter of the linear system is real, so every coupling
+obeys X(-omega) = X(omega)*, and the pair products are squared moduli:
+
+    S = (|A|^2 + |B|^2)(n_c + 1/2) + (|E|^2 + |F|^2)(n_m + 1/2),
+
+with each coupling evaluated once, at +omega. The result is real and even
+in omega by construction. That is the one rule behind every spectrum in
+the package: ``_symmetrized`` evaluates it here, for the homodyne output
 (output_detection) and, without the mirror bath, for the empty cavity
-(cavity_pa). An imaginary leftover above the one tolerance ``_IMAG_TOL``,
-relative to the spectrum once it exceeds 1, raises ModelError.
+(cavity_pa).
 
 All frequencies are in cavity linewidth units, matching SystemParams.
 """
@@ -23,7 +28,7 @@ from math import cos, sin, sqrt
 
 import numpy as np
 
-from .errors import ModelError, NonPositiveVariance, UnstableSystem
+from .errors import NonPositiveVariance, UnstableSystem
 from .params import SteadyState, SystemParams
 from .quadrature import integrate_line
 from .stability import routh_hurwitz
@@ -40,10 +45,6 @@ __all__ = [
 # axis for the variance integral to converge reliably
 _MARGINAL_GUARD = 1e-9
 
-# symmetrized spectra are real; larger leftovers, relative to max(1, |S|),
-# flag a coefficient bug
-_IMAG_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class SpectrumSample:
@@ -51,7 +52,6 @@ class SpectrumSample:
     omega: np.ndarray
     S_Q: np.ndarray
     S_P: np.ndarray
-    im_residual: float
 
 
 @dataclass(frozen=True)
@@ -100,36 +100,29 @@ def _coeffs(omega, ss: SteadyState, p: SystemParams):
     return A1, B1, E1, F1, A2, B2, F1, F2, den
 
 
-def _symmetrized(pairs, n_c: float, n_m: float) -> tuple[list, float]:
-    """Symmetrized two-bath spectra and the largest imaginary leftover.
+def _abs2(x):
+    return x.real * x.real + x.imag * x.imag
 
-    Each entry of ``pairs`` is ((A, B, E, F) at +omega, (A, B, E, F) at
-    -omega) for one quadrature; the result holds one real spectrum per
-    entry. Raises ModelError when the leftover passes ``_IMAG_TOL`` times
-    max(1, largest |S|) of its spectrum.
+
+def _symmetrized(couplings, n_c: float, n_m: float) -> list:
+    """Symmetrized two-bath spectra, one real array per quadrature.
+
+    Each entry of ``couplings`` is (A, B, E, F) at +omega for one
+    quadrature: A and B couple the optical bath, E and F the mirror bath
+    (0.0 where a bath is absent).
     """
     nc = n_c + 0.5
     nm = n_m + 0.5
-    raw = [(Ap * Am + Bp * Bm) * nc + (Ep * Em + Fp * Fm) * nm
-           for (Ap, Bp, Ep, Fp), (Am, Bm, Em, Fm) in pairs]
-    im_res = 0.0
-    for S in raw:
-        im = float(np.abs(S.imag).max())
-        # im > _IMAG_TOL * max(1, |S|), with |S| found only when it matters
-        if im > _IMAG_TOL and im > _IMAG_TOL * float(np.abs(S.real).max()):
-            raise ModelError(f"spectrum imaginary residual {im:.3e}")
-        im_res = max(im_res, im)
-    return [S.real for S in raw], im_res
+    return [(_abs2(A) + _abs2(B)) * nc + (_abs2(E) + _abs2(F)) * nm
+            for A, B, E, F in couplings]
 
 
 def spectrum(omega, ss: SteadyState, p: SystemParams) -> SpectrumSample:
     """Symmetrized spectra S_Q and S_P on a frequency grid."""
     om = np.atleast_1d(np.asarray(omega, dtype=float))
-    plus = _coeffs(om, ss, p)
-    minus = _coeffs(-om, ss, p)
-    (S_Q, S_P), im_res = _symmetrized(
-        [(plus[:4], minus[:4]), (plus[4:8], minus[4:8])], ss.n_th_c, ss.n_th_m)
-    return SpectrumSample(omega=om, S_Q=S_Q, S_P=S_P, im_residual=im_res)
+    c = _coeffs(om, ss, p)
+    S_Q, S_P = _symmetrized([c[:4], c[4:8]], ss.n_th_c, ss.n_th_m)
+    return SpectrumSample(omega=om, S_Q=S_Q, S_P=S_P)
 
 
 def quadrature_variances(ss: SteadyState, p: SystemParams) -> VariancePair:

@@ -4,10 +4,13 @@ The input-output relation c_out = sqrt(2 kappa) c - c_in turns the
 intracavity solution into the travelling field a detector sees. Mixing
 c_out with a local oscillator of phase phi selects one output quadrature;
 its symmetrized spectrum is again the two-bath sum of mech_spectra
-(``_symmetrized``, one imaginary-residual tolerance for the package),
-with couplings built from combinations of the intracavity transfer
-coefficients, and frequencies where it drops below the vacuum level 1/2
-witness the mechanical squeezing in the detected beam.
+(``_symmetrized``), with couplings built from combinations of the
+intracavity transfer coefficients, and frequencies where it drops below
+the vacuum level 1/2 witness the mechanical squeezing in the detected
+beam. The output couplings are real-parameter combinations of the
+intracavity ones, so they too obey X(-omega) = X(omega)*: each is
+evaluated once, at +omega, and the spectrum is the sum of their squared
+moduli weighted by the bath occupations, real and even by construction.
 
 Note the mechanical-noise routes into the output quadrature reuse the
 optical-input coefficients of the mirror quadratures with a -sqrt(gamma_m)
@@ -97,10 +100,9 @@ def _output_arrays(omega: np.ndarray, phi: float, ss: SteadyState,
     return _at_phase(_output_couplings(omega, ss, p), phi, p)
 
 
-def _zout(plus, minus, phi: float, ss: SteadyState, p: SystemParams):
-    # the two-bath rule on couplings precomputed at +omega and -omega
-    (S,), _ = _symmetrized([(_at_phase(plus, phi, p), _at_phase(minus, phi, p))],
-                           ss.n_th_c, ss.n_th_m)
+def _zout(couplings, phi: float, ss: SteadyState, p: SystemParams):
+    # the two-bath rule on phase-independent couplings precomputed at +omega
+    (S,) = _symmetrized([_at_phase(couplings, phi, p)], ss.n_th_c, ss.n_th_m)
     return S
 
 
@@ -110,8 +112,7 @@ def spectrum_zout(omega, phi: float, ss: SteadyState, p: SystemParams):
     Returns an array matching the shape of ``omega`` (scalar in, 0-d out).
     """
     om = np.asarray(omega, dtype=float)
-    return _zout(_output_couplings(om, ss, p), _output_couplings(-om, ss, p),
-                 phi, ss, p)
+    return _zout(_output_couplings(om, ss, p), phi, ss, p)
 
 
 def _bisect(s, lo: float, hi: float) -> float:
@@ -194,9 +195,8 @@ def detection_map(omega_grid, phi_grid, ss: SteadyState,
     """
     om = np.asarray(omega_grid, dtype=float).ravel()
     phis = np.asarray(phi_grid, dtype=float)
-    plus = _output_couplings(om, ss, p)
-    minus = _output_couplings(-om, ss, p)
+    couplings = _output_couplings(om, ss, p)
     out = np.empty((om.size, phis.size))
     for j, phi in enumerate(phis.ravel()):
-        out[:, j] = _zout(plus, minus, float(phi), ss, p)
+        out[:, j] = _zout(couplings, float(phi), ss, p)
     return out

@@ -15,6 +15,7 @@ from omsqueeze import (
 )
 from omsqueeze import cavity_pa
 from omsqueeze.cavity_pa import _coeff_arrays, _var_y_theta0
+from omsqueeze.cli import main, read_table
 
 
 def cavity_only(G: float, theta: float = 0.0,
@@ -42,6 +43,15 @@ class TestCoeffs:
         assert c["A3"] == pytest.approx(math.sqrt(2.0) / 0.02, rel=1e-12)
         assert c["B4"] == pytest.approx(math.sqrt(2.0) / 1.98, rel=1e-12)
         assert c["B3"] == 0.0
+
+    def test_couplings_at_minus_omega_are_conjugates(self):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            p = cavity_only(float(rng.uniform(0.0, 0.5)),
+                            theta=float(rng.uniform(0.0, 2.0 * math.pi)))
+            om = np.concatenate([[0.0], 10.0 ** rng.uniform(-5.0, 1.0, 30)])
+            for plus, minus in zip(_coeff_arrays(om, p), _coeff_arrays(-om, p)):
+                np.testing.assert_allclose(minus, np.conj(plus), rtol=1e-14, atol=0)
 
     def test_rejects_threshold(self):
         for G in (0.5, 0.6, 2.0):
@@ -117,6 +127,28 @@ class TestVariances:
                             lambda f, **kw: calls.append(f) or engine(f, **kw))
         cavity_variances(cavity_only(0.3, theta=0.5))
         assert len(calls) == 1
+
+
+class TestNearThreshold:
+    # the factored denominator (u - 2G)(u + 2G) stays accurate as
+    # G -> kappa/2, so the integral converges down to kappa - 2G of about 1e-6
+    def test_cavity_sweep_next_to_threshold(self, tmp_path):
+        path = tmp_path / "x.csv"
+        code = main(["cavity-sweep", "--config", "fig9", "--range", "0.49998",
+                     "0.49999", "--points", "3", "-o", str(path), "--no-timestamp"])
+        assert code == 0
+        _, rows = read_table(path)
+        for row in rows:
+            p = cavity_only(float(row["G_over_kappa"]))
+            assert float(row["var_y"]) == pytest.approx(_var_y_theta0(p), rel=1e-11)
+
+    def test_closed_form_on_draws_near_threshold(self):
+        rng = np.random.default_rng(8)
+        for _ in range(400):
+            gap = float(10.0 ** rng.uniform(-5.0, -3.0))   # kappa - 2G
+            p = cavity_only(0.5 * (1.0 - gap))
+            _, var_y = cavity_variances(p)
+            assert var_y == pytest.approx(_var_y_theta0(p), rel=1e-13)
 
 
 class TestAgainstMechanicalOptimum:

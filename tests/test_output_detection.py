@@ -7,16 +7,18 @@ import pytest
 
 from omsqueeze import (
     SystemParams,
+    build_drift,
     detection_map,
     find_band,
     quadrature_variances,
     solve_steady_state,
     spectrum_zout,
+    steady_covariance,
 )
 
 from omsqueeze import output_detection
 from omsqueeze.cli import _resolve_config
-from omsqueeze.output_detection import _output_arrays
+from omsqueeze.output_detection import _output_arrays, _output_couplings
 from omsqueeze.params import params_from_mapping
 
 from conftest import draw_stable_params
@@ -29,6 +31,23 @@ def point(G: float = 0.49, cooperativity: float = 400.0,
     p = SystemParams(gamma_m=1e-5, cooperativity=cooperativity, G=G,
                      theta=theta)
     return solve_steady_state(p), p
+
+
+def resolvent_zout(omega: float, phi: float, ss, p) -> float:
+    """Independent route to S_zout from the drift matrix alone.
+
+    H(omega) = sqrt(2 kappa) c (-i omega - M)^-1 N - c maps the inputs
+    (mirror Q, mirror P, cavity x, cavity y) to the output quadrature at
+    phase phi, with c = (0, 0, cos phi, sin phi) and N the input
+    amplitudes; S = Re(H S0 H^dagger) with the symmetrized occupations S0.
+    """
+    M = build_drift(ss, p).M
+    c = np.array([0.0, 0.0, math.cos(phi), math.sin(phi)])
+    N = np.diag(np.sqrt([p.gamma_m, p.gamma_m, 2.0 * p.kappa, 2.0 * p.kappa]))
+    S0 = np.diag([ss.n_th_m + 0.5] * 2 + [ss.n_th_c + 0.5] * 2)
+    H = math.sqrt(2.0 * p.kappa) * c @ np.linalg.solve(
+        -1j * omega * np.eye(4) - M, N) - c
+    return float((H @ S0 @ H.conj()).real)
 
 
 def output_coeffs(omega: float, phi: float, ss, p) -> tuple:
@@ -204,6 +223,69 @@ class TestBatchedBandSearch:
         band = find_band(PHASE_QUAD, ss, p)
         edge = scalar_band_edge(PHASE_QUAD, ss, p)
         assert (band.omega_lo, band.omega_hi) == (-edge, edge)
+
+
+class TestOneEvaluationPerFrequency:
+    def test_couplings_at_minus_omega_are_conjugates(self):
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            p = draw_stable_params(rng)
+            ss = solve_steady_state(p)
+            om = np.concatenate([[0.0], 10.0 ** rng.uniform(-5.0, 1.0, 30)])
+            for plus, minus in zip(_output_couplings(om, ss, p),
+                                   _output_couplings(-om, ss, p)):
+                np.testing.assert_allclose(minus, np.conj(plus), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda ss, p: spectrum_zout(np.linspace(-0.1, 0.1, 9), PHASE_QUAD, ss, p),
+        lambda ss, p: detection_map(np.linspace(-0.1, 0.1, 9),
+                                    np.linspace(0.0, math.pi, 5), ss, p),
+    ], ids=["spectrum_zout", "detection_map"])
+    def test_one_coefficient_call(self, evaluate, monkeypatch):
+        ss, p = point()
+        calls = []
+        engine = output_detection._coeffs
+        monkeypatch.setattr(output_detection, "_coeffs",
+                            lambda *a: calls.append(a) or engine(*a))
+        evaluate(ss, p)
+        assert len(calls) == 1
+
+
+class TestAgainstResolvent:
+    def test_random_draws_phases_and_frequencies(self):
+        rng = np.random.default_rng(3)
+        worst = 0.0
+        for _ in range(200):
+            p = draw_stable_params(rng)
+            ss = solve_steady_state(p)
+            phases = rng.uniform(0.0, math.pi, 3)
+            omegas = (0.0, float(rng.uniform(-0.05, 0.05)))
+            for phi in phases:
+                for om in omegas:
+                    ref = resolvent_zout(om, float(phi), ss, p)
+                    got = float(spectrum_zout(om, float(phi), ss, p))
+                    worst = max(worst, abs(got - ref) / ref)
+        assert worst < 1e-12
+
+
+class TestOutputSqueezingNeedsMirrorSqueezing:
+    def test_no_output_squeezing_without_mirror_squeezing(self):
+        # the abstract: the cavity output is squeezed only if the mirror is;
+        # zero frequency, every local-oscillator phase on a 1-degree grid
+        rng = np.random.default_rng(11)
+        phases = np.linspace(0.0, math.pi, 181)
+        output_squeezed = counterexamples = 0
+        for _ in range(300):
+            p = draw_stable_params(rng)
+            ss = solve_steady_state(p)
+            if detection_map([0.0], phases, ss, p).min() >= 0.5:
+                continue
+            output_squeezed += 1
+            V = steady_covariance(build_drift(ss, p)).V[:2, :2]
+            if np.linalg.eigvalsh(V)[0] >= 0.5:
+                counterexamples += 1
+        assert output_squeezed >= 50
+        assert counterexamples == 0
 
 
 class TestDetectionMap:
