@@ -221,8 +221,12 @@ def _cavity_row(p: SystemParams) -> tuple:
     try:
         _, var_y = cavity_variances(p)
     except AboveThreshold:
-        return (None, None, False)
-    return (var_y, squeezing_db(var_y), True)
+        return (None, None, False, "")
+    except QuadratureFailure:
+        # below threshold but so close that the variance integral hits its
+        # panel cap; keep the sweep alive and flag the point
+        return (None, None, True, "variance integral failed (next to threshold)")
+    return (var_y, squeezing_db(var_y), True, "")
 
 
 def _stability_row(p: SystemParams) -> tuple:
@@ -312,9 +316,9 @@ def cmd_cavity_sweep(args) -> int:
     p0 = _load_params(args)
     gains = _sweep_range(args, 0.0, 0.49 * p0.kappa)
     results = [_cavity_row(dataclasses.replace(p0, G=float(g))) for g in gains]
-    columns = ["G_over_kappa", "theta", "var_y", "squeezing_db", "stable"]
-    rows = [(float(g) / p0.kappa, p0.theta, var_y, db, ok)
-            for g, (var_y, db, ok) in zip(gains, results)]
+    columns = ["G_over_kappa", "theta", "var_y", "squeezing_db", "stable", "warnings"]
+    rows = [(float(g) / p0.kappa, p0.theta, *result)
+            for g, result in zip(gains, results)]
     meta = _params_metadata(p0)
     meta["swept"] = "G_over_kappa"
     meta["points"] = len(rows)
@@ -541,9 +545,10 @@ def cmd_validate(args) -> int:
         "sde_draws": args.sde_draws,
         "worst_rel_diff": worst_rel,
         "worst_z": worst_z,
-        "elapsed_s": round(elapsed, 3),
-        "passed": quad_pass and sde_pass,
     }
+    if not args.no_timestamp:   # reruns with --no-timestamp stay byte-identical
+        meta["elapsed_s"] = round(elapsed, 3)
+    meta["passed"] = quad_pass and sde_pass
     _write_table(args, columns, rows, meta)
 
     print(f"validation {'PASSED' if quad_pass and sde_pass else 'FAILED'} "

@@ -3,14 +3,13 @@
 The input-output relation c_out = sqrt(2 kappa) c - c_in turns the
 intracavity solution into the travelling field a detector sees. Mixing
 c_out with a local oscillator of phase phi selects one output quadrature;
-its symmetrized spectrum is again the two-bath sum of mech_spectra
-(``_symmetrized``), with couplings built from combinations of the
-intracavity transfer coefficients, and frequencies where it drops below
-the vacuum level 1/2 witness the mechanical squeezing in the detected
-beam. The output couplings are real-parameter combinations of the
-intracavity ones, so they too obey X(-omega) = X(omega)*: each is
-evaluated once, at +omega, and the spectrum is the sum of their squared
-moduli weighted by the bath occupations, real and even by construction.
+its symmetrized spectrum follows the one rule of mech_spectra
+(``_two_bath``), and frequencies where it drops below the vacuum level
+1/2 witness the mechanical squeezing in the detected beam. den times each
+output coupling is a real combination of the shared factors: the
+reflections I, R and J of (v s, v P, den) with P = G v, the mirror-noise
+routes of (s, v). The spectrum is real and even by construction, and the
+factors are evaluated once for every phase of a grid.
 
 Note the mechanical-noise routes into the output quadrature reuse the
 optical-input coefficients of the mirror quadratures with a -sqrt(gamma_m)
@@ -24,7 +23,8 @@ steps could visit, every one as 0.5 * (lo + hi) of its own interval, and
 the search then walks the path the sub-vacuum tests choose. The walk
 compares the same values at the same floats as one call per step would,
 so the edges equal the scalar bisection's bit for bit; a search takes
-about five spectrum calls where one call per step took up to thirty.
+about five spectrum calls where one call per step took up to thirty. The
+minimum is then read on [0, edge], so it is reported at omega >= 0.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from math import cos, sin, sqrt
 import numpy as np
 
 from .params import SteadyState, SystemParams
-from .mech_spectra import _coeffs, _symmetrized
+from .mech_spectra import _combine, _factors, _mirror_rows, _two_bath
 
 __all__ = ["SqueezingBand", "detection_map", "find_band", "spectrum_zout"]
 
@@ -58,52 +58,38 @@ class SqueezingBand:
         return 0.5 * (self.omega_hi - self.omega_lo)
 
 
-def _output_couplings(omega: np.ndarray, ss: SteadyState, p: SystemParams):
-    """The phase-independent couplings (I, R, J, A1, B1, A2, B2) at omega.
+def _output_couplings(omega: np.ndarray, phis: np.ndarray, ss: SteadyState,
+                      p: SystemParams, optical: float = 1.0, thermal: float = 1.0):
+    """den times the output couplings (A_z, B_z, E_z, F_z) at each phase of
+    ``phis`` on the 1-d grid ``omega``, shape (phases, 4, n), and den.
 
-    I, R and J reflect the optical input in phase, through the PA cross
-    term and conjugated; A1, B1, A2, B2 are the mirror quadratures'
-    optical-input coefficients that carry the mirror noise out.
+    At phase phi the rows on (2 kappa v s - den, v^2, s, v) are cos(phi)
+    times den (I, R, -sqrt(gamma_m) A1, -sqrt(gamma_m) A2) plus sin(phi)
+    times den (R, J, -sqrt(gamma_m) B1, -sqrt(gamma_m) B2): I, R and J
+    reflect the optical input in phase, through the PA cross term and
+    conjugated, and the mirror's optical-input couplings carry its noise
+    out. ``optical`` and ``thermal`` scale the couplings of each bath.
     """
-    A1, B1, _, _, A2, B2, _, _, den = _coeffs(omega, ss, p)
-    g2 = abs(ss.g) ** 2
-    G, k, gam = p.G, p.kappa, p.gamma_m
-    u = k - 1j * omega
-    v = 0.5 * gam - 1j * omega
-    two_gc = 2.0 * G * cos(p.theta)
-
-    I = (2.0 * k / den) * v * (g2 + (u + two_gc) * v) - 1.0
-    R = (4.0 * k / den) * G * sin(p.theta) * v * v
-    J = (2.0 * k / den) * v * (g2 + (u - two_gc) * v) - 1.0
-    return I, R, J, A1, B1, A2, B2
-
-
-def _at_phase(couplings, phi: float, p: SystemParams):
-    """Output couplings (A_z, B_z, E_z, F_z) at local-oscillator phase phi.
-
-    (A_z, B_z) reads (I, R) at phi = 0 and (R, J) at phi = pi/2; E_z and
-    F_z carry the mirror noise to the detector.
-    """
-    I, R, J, A1, B1, A2, B2 = couplings
-    cphi, sphi = cos(phi), sin(phi)
-    sg = sqrt(p.gamma_m)
-    A_z = I * cphi + R * sphi
-    B_z = R * cphi + J * sphi
-    E_z = -sg * (A1 * cphi + B1 * sphi)
-    F_z = -sg * (A2 * cphi + B2 * sphi)
-    return A_z, B_z, E_z, F_z
+    v, s, _, den = _factors(omega, ss, p)
+    (A1, B1, _, _), (A2, B2, _, _) = _mirror_rows(
+        ss, p, optical=-thermal * sqrt(p.gamma_m))[..., :2].tolist()
+    q = 4.0 * p.kappa * p.G * optical
+    qc, qs = q * cos(p.theta), q * sin(p.theta)
+    rows = np.array([
+        optical, qc, 0.0, 0.0,  0.0, qs, 0.0, 0.0,  0.0, 0.0, *A1,  0.0, 0.0, *A2,
+        0.0, qs, 0.0, 0.0,  optical, -qc, 0.0, 0.0,  0.0, 0.0, *B1,  0.0, 0.0, *B2,
+    ]).reshape(2, 16)
+    rotation = np.array([np.cos(phis), np.sin(phis)]).T
+    rows = (rotation @ rows).reshape(-1, 4, 4)
+    X = np.array([(2.0 * p.kappa) * v * s - den, v * v, s, v])
+    return _combine(rows, X), den
 
 
-def _output_arrays(omega: np.ndarray, phi: float, ss: SteadyState,
-                   p: SystemParams):
-    """Vectorized output couplings (A_z, B_z, E_z, F_z) at phase phi."""
-    return _at_phase(_output_couplings(omega, ss, p), phi, p)
-
-
-def _zout(couplings, phi: float, ss: SteadyState, p: SystemParams):
-    # the two-bath rule on phase-independent couplings precomputed at +omega
-    (S,) = _symmetrized([_at_phase(couplings, phi, p)], ss.n_th_c, ss.n_th_m)
-    return S
+def _zout(omega: np.ndarray, phis: np.ndarray, ss: SteadyState,
+          p: SystemParams) -> np.ndarray:
+    # S_zout at each phase of phis on the 1-d grid omega, (phases, n)
+    return _two_bath(*_output_couplings(omega, phis, ss, p, sqrt(ss.n_th_c + 0.5),
+                                        sqrt(ss.n_th_m + 0.5)))
 
 
 def spectrum_zout(omega, phi: float, ss: SteadyState, p: SystemParams):
@@ -112,7 +98,7 @@ def spectrum_zout(omega, phi: float, ss: SteadyState, p: SystemParams):
     Returns an array matching the shape of ``omega`` (scalar in, 0-d out).
     """
     om = np.asarray(omega, dtype=float)
-    return _zout(_output_couplings(om, ss, p), phi, ss, p)
+    return _zout(om.ravel(), np.array([phi], dtype=float), ss, p).reshape(om.shape)
 
 
 def _bisect(s, lo: float, hi: float) -> float:
@@ -175,7 +161,7 @@ def find_band(phi: float, ss: SteadyState, p: SystemParams) -> SqueezingBand | N
         i = int(above[0])
         edge = _bisect(s, march[i - 1] if i else 0.0, march[i])
 
-    grid = np.linspace(-edge, edge, 4097)
+    grid = np.linspace(0.0, edge, 2049)   # the spectrum is even
     vals = s(grid)
     k = int(np.argmin(vals))
     return SqueezingBand(
@@ -191,12 +177,9 @@ def detection_map(omega_grid, phi_grid, ss: SteadyState,
                   p: SystemParams) -> np.ndarray:
     """S_zout on the product grid, shaped (len(omega_grid), len(phi_grid)).
 
-    The phase-independent couplings are evaluated once for the whole grid.
+    The factors are evaluated once for the whole grid, and every phase in
+    one product.
     """
     om = np.asarray(omega_grid, dtype=float).ravel()
-    phis = np.asarray(phi_grid, dtype=float)
-    couplings = _output_couplings(om, ss, p)
-    out = np.empty((om.size, phis.size))
-    for j, phi in enumerate(phis.ravel()):
-        out[:, j] = _zout(couplings, float(phi), ss, p)
-    return out
+    phis = np.asarray(phi_grid, dtype=float).ravel()
+    return _zout(om, phis, ss, p).T

@@ -15,12 +15,13 @@ Panels are evaluated in batches so per-call overhead stays off the sweep
 hot path.
 
 Initial mesh. Without a hint it is 8 equal panels in s. A caller that
-knows the width of the narrowest feature, centred at zero frequency (the
-slowest decay rate of a mechanical peak, say), passes it as ``width``:
-the mesh is then 16 equal panels, and when the feature is narrower than
-the first of them, edges at +-atan(width * 2^j) for j = -2, -1, ... inside
-that panel grade it down to the feature. A mechanical peak 1e-9 wide
-then needs a few refinement rounds at most, where it needed up to thirty.
+knows its integrand's poles -width*i +- centre, peaks of half-width
+``width`` at +-centre, passes them as ``features``: the mesh is then 16
+equal panels, and the narrowest feature at each centre adds the edges
+atan(centre +- width * 2^j), j = -2, -1, ..., while width * 2^j is below
+tan(pi/16)(1 + centre^2), one panel's reach there. A mechanical peak 1e-9
+wide at zero needs a few refinement rounds at most, where it needed up to
+thirty, and split normal-mode peaks at +-centre need no more.
 
 Split rule. Each round splits, in one batch, every panel whose worst
 component holds more than its share abs_tol / n_panels of the error
@@ -58,28 +59,33 @@ _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])       # Gauss subset
 
-_INITIAL_PANELS = 8          # equal panels in s without a width hint
-_GRADED_PANELS = 16          # equal panels in s with one
-_GRADE_FROM = -2             # finest graded edge: atan(width * 2**_GRADE_FROM)
+_INITIAL_PANELS = 8          # equal panels in s without features
+_GRADED_PANELS = 16          # equal panels in s with them
+_GRADE_FROM = -2             # finest graded offset: width * 2**_GRADE_FROM
+_REACH = math.tan(math.pi / _GRADED_PANELS)   # one panel's reach at zero
+_GRADED_EDGES = np.linspace(-np.pi / 2, np.pi / 2, _GRADED_PANELS + 1).tolist()
 
 
-def _initial_edges(width: float | None) -> np.ndarray:
-    # uniform in s; a feature narrower than the first uniform panel adds
-    # the graded edges +-atan(width * 2^j), j = _GRADE_FROM, ..., that fall
-    # inside that panel
-    if width is None:
+def _initial_edges(features) -> np.ndarray:
+    # see the module notes; edges that coincide (at +-pi/2, say) count once
+    if not features:
         return np.linspace(-np.pi / 2, np.pi / 2, _INITIAL_PANELS + 1)
-    if not width > 0.0:
-        raise ValueError(f"feature width must be positive, got {width}")
-    uniform = np.linspace(-np.pi / 2, np.pi / 2, _GRADED_PANELS + 1)
-    first = np.pi / _GRADED_PANELS
-    if math.atan(width) >= first:
-        return uniform
-    graded = []
-    while (e := math.atan(width * 2.0 ** (_GRADE_FROM + len(graded)))) < first:
-        graded.append(e)
-    graded = np.array(graded)
-    return np.sort(np.concatenate([uniform, graded, -graded]))
+    narrowest: dict[float, float] = {}
+    for centre, width in features:
+        if not (width > 0.0 and math.isfinite(centre)):
+            raise ValueError(f"feature needs a finite centre and a positive "
+                             f"width, got ({centre}, {width})")
+        narrowest[centre] = min(width, narrowest.get(centre, math.inf))
+    edges = set(_GRADED_EDGES)
+    for centre, width in narrowest.items():
+        # inf past |centre| ~ 1e154, where the doubling ends by overflow;
+        # a feature no narrower than the reach adds no edge
+        reach = _REACH * (1.0 + centre * centre)
+        offset = width * 2.0 ** _GRADE_FROM
+        while width < reach and offset < reach:
+            edges.update((math.atan(centre - offset), math.atan(centre + offset)))
+            offset *= 2.0
+    return np.array(sorted(edges))
 
 
 def _eval_panels(F, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,7 +102,7 @@ def _eval_panels(F, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000,
-                   width: float | None = None):
+                   features=()):
     """Integrate ``f`` over the whole real line to absolute tolerance.
 
     Parameters
@@ -108,9 +114,10 @@ def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000,
         Target on the summed panel error estimates, met by every component.
     max_panels : int
         Subdivision cap; exceeding it raises QuadratureFailure.
-    width : float, optional
-        Width of the narrowest feature of ``f``, centred at zero frequency;
-        it grades the initial mesh. None starts from uniform panels.
+    features : iterable of (centre, width), optional
+        Peaks of ``f``, each of half-width ``width`` at frequency
+        ``centre``; they grade the initial mesh. Empty starts from uniform
+        panels.
 
     Returns
     -------
@@ -127,7 +134,7 @@ def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000,
         t = np.tan(s)
         return f(t) * (1.0 + t * t)
 
-    edges = _initial_edges(width)
+    edges = _initial_edges(features)
     los, his = edges[:-1], edges[1:]
     vals, errs = _eval_panels(F, los, his)
 

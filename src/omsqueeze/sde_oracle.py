@@ -8,10 +8,11 @@ step map is exact: over one step dt,
     f <- A f + B xi,   A = exp(M dt),   B B^T = Q = int_0^dt e^{Ms} D e^{M^T s} ds,
 
 with xi standard normal. ``A`` and ``Q`` come from one 8x8 block
-exponential (Van Loan, IEEE TAC 23:395, 1978), so the chain has no
-discretization bias at any step size. Trajectories start from zero and
-discard a burn-in, so the stationary state is reached by the dynamics,
-never taken from the Lyapunov solution.
+exponential (Van Loan, IEEE TAC 23:395, 1978) over a step no longer than
+the fastest time scale, doubled up to dt where dt is longer, so the chain
+has no discretization bias at any step size. Trajectories start from zero
+and discard a burn-in, so the stationary state is reached by the
+dynamics, never taken from the Lyapunov solution.
 
 The chain advances b = ``_BLOCK`` steps per matrix product. Unrolled, the
 recurrence reads f_{t+k} = A^k f_t + sum_{j<k} A^{k-1-j} B xi_{t+j}; with
@@ -150,19 +151,28 @@ def _expm(X: np.ndarray) -> np.ndarray:
 def _step_maps(M: np.ndarray, D: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) of the exact step f <- A f + B xi, with B B^T = Q.
 
-    Van Loan: exp([[-M, D], [0, M^T]] dt) = [[., F12], [0, F22]] gives
-    A = F22^T and Q = A F12. Q may be singular (zeros on the diagonal of
-    D), so B comes from its eigendecomposition with rounding-level
-    negative eigenvalues clipped to zero.
+    Van Loan: exp([[-M, D], [0, M^T]] h) = [[., F12], [0, F22]] gives
+    A = F22^T and Q = A F12 over a step h. That block holds exp(-M h), and
+    Q comes out of a cancellation against it, so h is kept at or below
+    1/fastest: for dt * fastest > 1, h = dt / 2^k with
+    k = ceil(log2(dt * fastest)), and k doublings Q <- Q + A Q A^T,
+    A <- A^2 (each term positive semidefinite) reach dt. Q may be singular
+    (zeros on the diagonal of D), so B comes from its eigendecomposition
+    with rounding-level negative eigenvalues clipped to zero.
     """
     n = M.shape[0]
+    scaled = dt * _rates(M)[0]
+    doublings = math.ceil(math.log2(scaled)) if scaled > 1.0 else 0
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = -M
     block[:n, n:] = D
     block[n:, n:] = M.T
-    F = _expm(block * dt)
+    F = _expm(block * (dt / 2.0 ** doublings))
     A = F[n:, n:].T
     Q = A @ F[:n, n:]
+    for _ in range(doublings):
+        Q = Q + A @ Q @ A.T
+        A = A @ A
     w, U = np.linalg.eigh(0.5 * (Q + Q.T))
     return A, U * np.sqrt(np.clip(w, 0.0, None))
 

@@ -49,12 +49,14 @@ class DriftModel:
 @dataclass(frozen=True)
 class StabilityReport:
     """Routh-Hurwitz conditions and the decision taken on ``decay_rate``,
-    the slowest decay rate of the fluctuations."""
+    the slowest decay rate of the fluctuations; ``poles`` are the four
+    drift eigenvalues it is taken from."""
 
     stable: bool
     conditions: tuple[float, float, float]
     marginal: bool
     decay_rate: float
+    poles: tuple[complex, ...]
 
 
 def build_drift(ss: SteadyState, p: SystemParams) -> DriftModel:
@@ -80,21 +82,22 @@ def build_drift(ss: SteadyState, p: SystemParams) -> DriftModel:
     return DriftModel(M=M, D=D)
 
 
-def _slowest_decay(kappa: float, gamma_m: float, G: float, g2: float) -> float:
-    """Smallest -Re(root) of the two factors of the characteristic quartic,
+def _poles(kappa: float, gamma_m: float, G: float, g2: float) -> tuple[complex, ...]:
+    """The four roots of the characteristic quartic, from its two factors
     lam^2 + b lam + c with b = gamma_m/2 + kappa -+ 2G and
     c = (gamma_m/2)(kappa -+ 2G) + |g|^2."""
-    rates = []
+    roots = []
     for sign in (-1.0, 1.0):
         b = gamma_m / 2 + kappa + sign * 2 * G
         c = (gamma_m / 2) * (kappa + sign * 2 * G) + g2
         disc = b * b - 4 * c
         if disc < 0:                  # complex pair
-            rates.append(b / 2)
+            h = math.sqrt(-disc) / 2
+            roots += [complex(-b / 2, h), complex(-b / 2, -h)]
         else:                         # real pair, free of cancellation
             q = b + math.copysign(math.sqrt(disc), b)
-            rates += [q / 2, 2 * c / q if q else 0.0]
-    return min(rates)
+            roots += [complex(-q / 2), complex(-2 * c / q if q else 0.0)]
+    return tuple(roots)
 
 
 def routh_hurwitz(p: SystemParams, ss: SteadyState) -> StabilityReport:
@@ -116,9 +119,11 @@ def routh_hurwitz(p: SystemParams, ss: SteadyState) -> StabilityReport:
           + k * gam * (2 * k + gam) * (k * gam ** 2 + (2 * k + 1.5 * gam) * g2))
     c3 = 0.25 * gam ** 2 * t + g2 * (g2 + k * gam)
 
-    rate = _slowest_decay(k, gam, G, g2)
+    poles = _poles(k, gam, G, g2)
+    rate = min(-lam.real for lam in poles)
     return StabilityReport(stable=rate > MARGINAL_EPS * k, conditions=(c1, c2, c3),
-                           marginal=abs(rate) <= MARGINAL_EPS * k, decay_rate=rate)
+                           marginal=abs(rate) <= MARGINAL_EPS * k, decay_rate=rate,
+                           poles=poles)
 
 
 def eigen_stable(M: np.ndarray) -> bool:

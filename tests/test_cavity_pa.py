@@ -26,8 +26,8 @@ def cavity_only(G: float, theta: float = 0.0,
 
 def cavity_coeffs(omega: float, p: SystemParams) -> dict:
     """A3, B3, A4, B4 at one frequency."""
-    return dict(zip(("A3", "B3", "A4", "B4"),
-                    _coeff_arrays(np.asarray(float(omega)), p)))
+    couplings, den = _coeff_arrays(np.array([float(omega)]), p)
+    return dict(zip(("A3", "B3", "A4", "B4"), couplings.reshape(4) / den[0]))
 
 
 class TestCoeffs:

@@ -110,6 +110,19 @@ class TestSweeps:
         assert rows[-1]["stable"] == "false" and rows[-1]["var_y"] == ""
 
 
+    def test_cavity_sweep_flags_a_failed_integral(self, tmp_path):
+        # kappa - 2G = 1.05e-6 at the last point: the variance integral
+        # hits its panel cap there, and the sweep flags that row and goes on
+        code, path = run(tmp_path, "cavity-sweep", "--config", "fig9",
+                         "--range", "0.49", "0.499999475", "--points", "3")
+        assert code == 0
+        _, rows = read_table(path)
+        assert [row["warnings"] for row in rows[:2]] == ["", ""]
+        last = rows[-1]
+        assert "variance integral failed" in last["warnings"]
+        assert (last["var_y"], last["squeezing_db"], last["stable"]) == ("", "", "true")
+
+
 class TestGrids:
     def test_stability_map(self, tmp_path):
         code, path = run(tmp_path, "stability-map", "--gamma-m", "1e-5",
@@ -153,6 +166,7 @@ class TestSpectra:
         assert meta["band"] == "present"
         assert float(meta["band_omega_hi"]) == pytest.approx(0.01872,
                                                              abs=1e-4)
+        assert meta["band_min_at"] == "0.00606109428406"
 
     def test_detect_without_band(self, tmp_path):
         code, path = run(tmp_path, "detect", "--gamma-m", "1e-5",
@@ -193,6 +207,17 @@ class TestAnalyticOracleValidate:
                              "lyapunov_var_q", "lyapunov_var_p", "z_q", "z_p"]
         assert "8 trajectories" in capsys.readouterr().out
 
+    def test_oracle_step_far_above_the_fastest_scale(self, tmp_path, capsys):
+        # dt = 40 is 80 fastest time scales; a single block exponential over
+        # it gave var_p = 0.921 against the Lyapunov 0.2538 (z = +19.45)
+        code, path = run(tmp_path, "oracle", "--gamma-m", "1e-2",
+                         "--cooperativity", "400", "--gain", "0.49",
+                         "--theta", "pi/16", "--dt", "40", "--trajectories", "4",
+                         "--seed", "0")
+        assert code == 0
+        _, rows = read_table(path)
+        assert abs(float(rows[0]["z_p"])) <= 3.0
+
     @pytest.mark.parametrize("quiet", [False, True])
     def test_oracle_logs_its_plan(self, tmp_path, caplog, quiet):
         argv = ["oracle", *QUICK_FLAGS, "--trajectories", "2"]
@@ -231,6 +256,19 @@ class TestOutputContract:
                        "--range", "0", "0.4", name="a.csv")
         _, second = run(tmp_path, "sweep-gain", *OPT_FLAGS, "--points", "3",
                         "--range", "0", "0.4", name="b.csv")
+        assert first.read_bytes() == second.read_bytes()
+        assert first.with_suffix(".jsonl").read_bytes() == \
+            second.with_suffix(".jsonl").read_bytes()
+
+    def test_no_timestamp_validate_reruns_identical(self, tmp_path):
+        # the run time goes to stdout only; the table keeps no clock reading
+        paths = []
+        for name in ("a.csv", "b.csv"):
+            code, path = run(tmp_path, "validate", "--quad-draws", "2",
+                             "--sde-draws", "1", name=name)
+            assert code == 0
+            paths.append(path)
+        first, second = paths
         assert first.read_bytes() == second.read_bytes()
         assert first.with_suffix(".jsonl").read_bytes() == \
             second.with_suffix(".jsonl").read_bytes()

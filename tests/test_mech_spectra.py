@@ -13,6 +13,7 @@ from omsqueeze import (
     UnstableSystem,
     build_drift,
     quadrature_variances,
+    routh_hurwitz,
     solve_steady_state,
     spectrum,
     squeezing_db,
@@ -24,8 +25,16 @@ from omsqueeze.stability import DriftModel
 
 from conftest import draw_low_damping_params, draw_stable_params
 
-# the order in which mech_spectra._coeffs returns the transfer coefficients
+# the order of the rows of mech_spectra._mirror_rows, then the denominator
 COEFF_NAMES = ("A1", "B1", "E1", "F1", "A2", "B2", "E2", "F2", "den")
+
+
+def couplings(omega: float, ss, p) -> dict:
+    """The eight mirror couplings and den at one frequency, from the factored
+    form: each row of _mirror_rows weights the factors (s, v, T, 1)."""
+    v, s, T, den = mech_spectra._factors(np.asarray(float(omega)), ss, p)
+    rows = mech_spectra._mirror_rows(ss, p).reshape(8, 4)
+    return dict(zip(COEFF_NAMES, [*(rows @ np.array([s, v, T, 1.0]) / den), den]))
 
 
 def resolvent_spectra(om: float, ss, p) -> tuple[float, float]:
@@ -43,7 +52,9 @@ class TestTransferCoefficients:
     def test_frozen_values_at_generic_point(self):
         p = SystemParams(gamma_m=1e-4, cooperativity=400.0, G=0.4,
                          theta=math.pi / 16)
-        t = dict(zip(COEFF_NAMES, mech_spectra._coeffs(0.3, solve_steady_state(p), p)))
+        t = couplings(0.3, solve_steady_state(p), p)
+        # the values of the unfactored coefficients, frozen before the
+        # factored form replaced them
         expected = {
             "A1": 2.306445587332557 - 2.7689128285014375j,
             "B1": 0.22723711355245996 - 0.2734936847047271j,
@@ -60,7 +71,7 @@ class TestTransferCoefficients:
 
     def test_thermal_cross_coefficients_match(self, opt_state, opt_params):
         # both quadratures see the same thermal cross term
-        t = dict(zip(COEFF_NAMES, mech_spectra._coeffs(0.7, opt_state, opt_params)))
+        t = couplings(0.7, opt_state, opt_params)
         assert t["F1"] == t["E2"]
 
     def test_spectrum_matches_resolvent_on_random_draws(self):
@@ -78,21 +89,21 @@ class TestTransferCoefficients:
 class TestOneEvaluationPerFrequency:
     def test_couplings_at_minus_omega_are_conjugates(self):
         # real parameters: X(-omega) = X(omega)*, so the spectrum needs
-        # every coupling at +omega only
+        # every factor at +omega only
         rng = np.random.default_rng(26)
         for _ in range(40):
             p = draw_stable_params(rng)
             ss = solve_steady_state(p)
             om = np.concatenate([[0.0], 10.0 ** rng.uniform(-5.0, 1.0, 30)])
-            for plus, minus in zip(mech_spectra._coeffs(om, ss, p),
-                                   mech_spectra._coeffs(-om, ss, p)):
+            for plus, minus in zip(mech_spectra._factors(om, ss, p),
+                                   mech_spectra._factors(-om, ss, p)):
                 np.testing.assert_allclose(minus, np.conj(plus), rtol=1e-14, atol=0)
 
     def test_one_coefficient_call_per_spectrum(self, opt_state, opt_params,
                                                monkeypatch):
         calls = []
-        engine = mech_spectra._coeffs
-        monkeypatch.setattr(mech_spectra, "_coeffs",
+        engine = mech_spectra._factors
+        monkeypatch.setattr(mech_spectra, "_factors",
                             lambda *a: calls.append(a) or engine(*a))
         spectrum(np.linspace(-1.0, 1.0, 9), opt_state, opt_params)
         assert len(calls) == 1
@@ -190,6 +201,29 @@ class TestVariances:
             except UnstableSystem:   # refused before any integration
                 pass
         assert np.mean(calls) <= 3.0
+
+    def test_split_peaks_take_at_most_two_integrand_calls(self, monkeypatch):
+        # underdamped points peak at +-Omega of their slowest pole pair;
+        # the mesh graded at every drift pole resolves them at once
+        calls = []
+        engine = mech_spectra.integrate_line
+
+        def counted(f, **kw):
+            def g(om):
+                calls[-1] += 1
+                return f(om)
+            calls.append(0)
+            return engine(g, **kw)
+
+        monkeypatch.setattr(mech_spectra, "integrate_line", counted)
+        rng = np.random.default_rng(2)
+        while len(calls) < 200:
+            p = draw_stable_params(rng)
+            ss = solve_steady_state(p)
+            slowest = max(routh_hurwitz(p, ss).poles, key=lambda lam: lam.real)
+            if abs(slowest.imag) > abs(slowest.real):
+                quadrature_variances(ss, p)
+        assert max(calls) <= 2
 
     def test_gain_off_leaves_vacuum(self):
         # beamsplitter coupling alone cannot squeeze or heat at T = 0

@@ -18,7 +18,7 @@ from omsqueeze import (
 
 from omsqueeze import output_detection
 from omsqueeze.cli import _resolve_config
-from omsqueeze.output_detection import _output_arrays, _output_couplings
+from omsqueeze.output_detection import _output_couplings
 from omsqueeze.params import params_from_mapping
 
 from conftest import draw_stable_params
@@ -52,7 +52,8 @@ def resolvent_zout(omega: float, phi: float, ss, p) -> float:
 
 def output_coeffs(omega: float, phi: float, ss, p) -> tuple:
     """(A_z, B_z, E_z, F_z) at one frequency."""
-    return _output_arrays(np.asarray(float(omega)), phi, ss, p)
+    N, den = _output_couplings(np.array([float(omega)]), np.array([phi]), ss, p)
+    return tuple(N[0, :, 0] / den[0])
 
 
 class TestOutputCoeffs:
@@ -66,7 +67,8 @@ class TestOutputCoeffs:
         # a general phase rotates the two readings into each other
         phi = 0.3
         A, B, _, _ = output_coeffs(0.37, phi, ss, p)
-        assert A == I * math.cos(phi) + R * math.sin(phi)
+        assert A == pytest.approx(I * math.cos(phi) + R * math.sin(phi),
+                                  rel=1e-15)
         assert B == pytest.approx(R * math.cos(phi) + B90 * math.sin(phi),
                                   rel=1e-15)
 
@@ -211,11 +213,27 @@ class TestBatchedBandSearch:
                     continue
                 bands += 1
                 assert (band.omega_lo, band.omega_hi) == (-edge, edge)
-                # the 4097-point grid for the minimum is the last call
-                assert calls[-1] == 4097
+                # the 2049-point grid for the minimum is the last call
+                assert calls[-1] == 2049
                 assert len(calls) - 1 <= 6
         assert cases == 1000
         assert bands >= 150
+
+    def test_minimum_reported_at_non_negative_frequency(self):
+        # S_zout is even, so the minimum is searched on [0, edge]; on a
+        # symmetric grid, which of +-omega* won would depend on rounding
+        rng = np.random.default_rng(7)
+        bands = 0
+        while bands < 40:
+            p = draw_stable_params(rng)
+            ss = solve_steady_state(p)
+            band = find_band(PHASE_QUAD, ss, p)
+            if band is None:
+                continue
+            bands += 1
+            assert 0.0 <= band.min_at <= band.omega_hi
+            assert band.min_S == pytest.approx(
+                float(spectrum_zout(band.min_at, PHASE_QUAD, ss, p)), rel=1e-12)
 
     def test_fig8_edges_equal_the_scalar_bisection(self):
         p = params_from_mapping(_resolve_config("fig8"))
@@ -228,12 +246,13 @@ class TestBatchedBandSearch:
 class TestOneEvaluationPerFrequency:
     def test_couplings_at_minus_omega_are_conjugates(self):
         rng = np.random.default_rng(6)
+        phis = np.linspace(0.0, math.pi, 5)
         for _ in range(40):
             p = draw_stable_params(rng)
             ss = solve_steady_state(p)
             om = np.concatenate([[0.0], 10.0 ** rng.uniform(-5.0, 1.0, 30)])
-            for plus, minus in zip(_output_couplings(om, ss, p),
-                                   _output_couplings(-om, ss, p)):
+            for plus, minus in zip(_output_couplings(om, phis, ss, p),
+                                   _output_couplings(-om, phis, ss, p)):
                 np.testing.assert_allclose(minus, np.conj(plus), rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("evaluate", [
@@ -244,8 +263,8 @@ class TestOneEvaluationPerFrequency:
     def test_one_coefficient_call(self, evaluate, monkeypatch):
         ss, p = point()
         calls = []
-        engine = output_detection._coeffs
-        monkeypatch.setattr(output_detection, "_coeffs",
+        engine = output_detection._factors
+        monkeypatch.setattr(output_detection, "_factors",
                             lambda *a: calls.append(a) or engine(*a))
         evaluate(ss, p)
         assert len(calls) == 1

@@ -69,21 +69,48 @@ class TestIntegrateLine:
         # far fewer integrand calls than refining the uniform one
         a = 1e-9
         counts = {}
-        for width in (None, a):
+        for features in ((), [(0.0, a)]):
             calls = []
 
             def f(x):
                 calls.append(x.size)
                 return a / (x * x + a * a)
-            got = integrate_line(f, width=width)
+            got = integrate_line(f, features=features)
             assert got == pytest.approx(math.pi, abs=1e-8)
-            counts[width] = len(calls)
-        assert counts[a] <= 3 < counts[None]
+            counts[bool(features)] = len(calls)
+        assert counts[True] <= 3 < counts[False]
+
+    def test_split_peaks_graded_at_their_centres(self):
+        # two 1e-6 wide peaks at +-0.3, the poles -a i +- 0.3: graded at
+        # zero they take extra rounds, graded at their centres they do not
+        a, w = 1e-6, 0.3
+
+        def f(x):
+            return a / ((x - w) ** 2 + a * a) + a / ((x + w) ** 2 + a * a)
+        counts = {}
+        for centre in (0.0, w):
+            calls = []
+            got = integrate_line(lambda x: calls.append(x.size) or f(x),
+                                 features=[(centre, a), (-centre, a)])
+            assert got == pytest.approx(2 * math.pi, abs=1e-8)
+            counts[centre] = len(calls)
+        assert counts[w] == 1 < counts[0.0]
 
     @pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
     def test_non_positive_width_raises(self, width):
         with pytest.raises(ValueError):
-            integrate_line(lambda x: np.exp(-x * x), width=width)
+            integrate_line(lambda x: np.exp(-x * x), features=[(0.0, width)])
+
+    @pytest.mark.parametrize("centre", [math.nan, math.inf])
+    def test_non_finite_centre_raises(self, centre):
+        with pytest.raises(ValueError):
+            integrate_line(lambda x: np.exp(-x * x), features=[(centre, 1.0)])
+
+    def test_far_centre_keeps_the_mesh_finite(self):
+        # atan folds a centre near the end of the line onto +-pi/2; the
+        # graded edges there collapse instead of piling up
+        got = integrate_line(lambda x: np.exp(-x * x), features=[(1e200, 1e-9)])
+        assert got == pytest.approx(math.sqrt(math.pi), abs=1e-10)
 
     def test_panel_cap_raises(self):
         a = 1e-9

@@ -171,6 +171,22 @@ class TestStepMaps:
                         / np.abs(V).max())
         assert worst <= 1e-12
 
+    def test_noise_covariance_at_any_step(self):
+        # Q = V - A V A^T; a single block exponential lost Q to cancellation
+        # against exp(-M dt) from dt x fastest of about 20 on, and overflowed
+        # from 160 on
+        rng = np.random.default_rng(5)
+        models = [build_drift(solve_steady_state(p), p)
+                  for p in (draw_stable_params(rng) for _ in range(50))]
+        worst = 0.0
+        for scaled in (0.25, 1.0, 20.0, 40.0, 80.0, 160.0, 1e3, 1e4):
+            for dm in models:
+                A, B = _step_maps(dm.M, dm.D, scaled / sde_oracle._rates(dm.M)[0])
+                V = steady_covariance(dm).V
+                Q = V - A @ V @ A.T
+                worst = max(worst, np.abs(B @ B.T - Q).max() / np.abs(Q).max())
+        assert worst <= 1e-12
+
     def test_singular_noise_covariance(self):
         # zeros on the diagonal of D leave Q rank-deficient
         M = np.diag([-1.0, -2.0, -0.5, -0.5])
