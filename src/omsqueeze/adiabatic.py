@@ -33,14 +33,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdiabaticInputs:
-    """Everything the closed forms need, in cavity linewidth units."""
+    """Everything the closed forms need: the coupling, damping and
+    linewidth enter only through C = |g|^2/(kappa gamma_m). A zero
+    coupling is refused as C = 0."""
     G0: float
     cooperativity: float
     n_th_m: float
     n_th_c: float
-    gamma_m: float
-    kappa: float
-    g: complex
     eta: float = 0.0
 
     def __post_init__(self) -> None:
@@ -56,26 +55,18 @@ class AdiabaticInputs:
     @classmethod
     def from_system(cls, ss: SteadyState, p: SystemParams,
                     eta: float = 0.0) -> "AdiabaticInputs":
-        g2 = abs(ss.g) ** 2
         return cls(
             G0=2.0 * p.G / p.kappa,
-            cooperativity=g2 / (p.kappa * p.gamma_m),
+            cooperativity=abs(ss.g) ** 2 / (p.kappa * p.gamma_m),
             n_th_m=ss.n_th_m,
             n_th_c=ss.n_th_c,
-            gamma_m=p.gamma_m,
-            kappa=p.kappa,
-            g=ss.g,
             eta=eta,
         )
 
 
 def _closed_form(inp: AdiabaticInputs, G0: float) -> float:
-    g2 = abs(inp.g) ** 2
-    if g2 == 0.0:
-        raise DomainError("closed form needs a nonzero optomechanical coupling")
     optical = (1.0 + 2.0 * inp.n_th_c) / (2.0 * (1.0 + G0))
-    thermal = (inp.gamma_m * inp.kappa * (1.0 + G0)
-               * (1.0 + 2.0 * inp.n_th_m)) / (4.0 * g2)
+    thermal = (1.0 + G0) * (1.0 + 2.0 * inp.n_th_m) / (4.0 * inp.cooperativity)
     return optical + thermal
 
 

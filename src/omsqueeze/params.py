@@ -28,7 +28,7 @@ import ast
 import math
 import cmath
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -296,6 +296,7 @@ def optimal_theta(g: complex) -> float:
 # config-file ingestion (flat key = value, '#' comments)
 
 _FLOAT_KEYS = frozenset(f.name for f in fields(SystemParams))
+_REQUIRED_KEYS = frozenset(f.name for f in fields(SystemParams) if f.default is MISSING)
 _ANGLE_KEYS = {"theta", "detuning"}
 
 
@@ -344,9 +345,10 @@ def parse_angle(text: str) -> float:
 def load_config(path: str) -> dict[str, float]:
     """Read a flat ``key = value`` config file into a mapping.
 
-    Keys must be SystemParams field names; values are floats, except the
-    angle-valued keys which also accept pi-fraction expressions. Lines
-    starting with '#' (and inline '#' comments) are ignored.
+    Keys must be SystemParams field names, each given at most once; values
+    are floats, except the angle-valued keys which also accept pi-fraction
+    expressions. Lines starting with '#' (and inline '#' comments) are
+    ignored.
     """
     out: dict[str, float] = {}
     with open(path, encoding="utf-8") as fh:
@@ -361,6 +363,8 @@ def load_config(path: str) -> dict[str, float]:
             value = value.strip()
             if key not in _FLOAT_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in out:
+                raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
             if key in _ANGLE_KEYS:
                 out[key] = parse_angle(value)
             else:
@@ -382,6 +386,9 @@ def params_from_mapping(mapping: dict[str, float], **overrides) -> SystemParams:
         if key not in _FLOAT_KEYS:
             raise ConfigError(f"unknown parameter {key!r}")
         merged[key] = value
+    missing = sorted(_REQUIRED_KEYS - merged.keys())
+    if missing:
+        raise ConfigError("missing required parameter " + ", ".join(map(repr, missing)))
     try:
         return SystemParams(**merged)
     except TypeError as exc:

@@ -14,19 +14,18 @@ has no discretization bias at any step size. Trajectories start from zero
 and discard a burn-in, so the stationary state is reached by the
 dynamics, never taken from the Lyapunov solution.
 
-The chain advances b = ``_BLOCK`` steps per matrix product. Unrolled, the
-recurrence reads f_{t+k} = A^k f_t + sum_{j<k} A^{k-1-j} B xi_{t+j}; with
-states as rows, [f_{t+1} .. f_{t+b}] = f_t P + [xi_t .. xi_{t+b-1}] W with
-P = [A^T, .., (A^T)^b] and W block-upper-triangular Toeplitz, block (j, k)
-= B^T (A^T)^(k-j). That is the one-step map regrouped, exact up to
-rounding; a tail of m < b steps uses the leading 4m columns of P and the
-leading 4m x 4m block of W, the same identity for m.
+Because the map is exact, the suggested step follows the slowest rate,
+dt = 1/(2 slowest): resolving the fast modes would only add correlated
+samples. The burn-in is 12 and each of the 32 batches 6 slowest
+relaxation times, so every suggested run is 24 + 384 = 408 steps at any
+stiffness. An explicit finer dt costs its step count: the chain takes one
+4x4 product per step.
 
 Estimates pool squared samples over an ensemble of independent
 trajectories and over post-burn-in time; standard errors come from batch
 means over 32 contiguous time batches, each pooled across the whole
 ensemble (batches spanning several relaxation times are effectively
-independent).
+independent; Flyvbjerg and Petersen, J. Chem. Phys. 91:461, 1989).
 
 Determinism: every trajectory draws from its own generator spawned off the
 root seed, segment boundaries depend only on the configuration, and all
@@ -48,10 +47,9 @@ __all__ = ["SimConfig", "SimEstimate", "simulate", "suggest_config"]
 
 _N_BATCHES = 32
 _MAX_SEGMENT = 4096          # steps per noise draw, bounds memory
-_BLOCK = 16                  # steps per blocked matrix product
 _DIVERGENCE_LIMIT = 1e6
-_DT_FRACTION = 0.25          # suggested step: this over the fastest rate
 _BURN_FACTOR = 10.0          # burn-in floor: this over the slowest rate
+_BATCH_TIME = 6.0            # suggested batch length, slowest relaxation times
 _TAYLOR_TERMS = 18           # exact to rounding once the norm is <= 1/2
 # trajectory steps (burn-in plus measured) a schedule may ask for; far above
 # every schedule suggest_config picks, far below a run that never ends
@@ -91,8 +89,17 @@ class SimConfig:
     def steps(self) -> tuple[int, int]:
         """(burn-in, measured) step counts; the measured count is rounded
         up to a multiple of the batch count."""
-        n_meas = math.ceil(self.duration / self.dt)
-        return math.ceil(self.burn_in / self.dt), n_meas + (-n_meas) % _N_BATCHES
+        n_meas = _whole_steps(self.duration, self.dt)
+        return _whole_steps(self.burn_in, self.dt), n_meas + (-n_meas) % _N_BATCHES
+
+
+def _whole_steps(span: float, dt: float) -> int:
+    """Steps of dt that cover span. A ratio within rounding of an integer
+    counts as that integer, so that the schedule read back from a table
+    of 12 significant digits plans the same run."""
+    ratio = span / dt
+    nearest = round(ratio)
+    return nearest if abs(ratio - nearest) <= 1e-9 * ratio else math.ceil(ratio)
 
 
 class SimEstimate(NamedTuple):
@@ -112,22 +119,19 @@ def _rates(M: np.ndarray) -> tuple[float, float]:
     return fastest, slowest
 
 
-def suggest_config(dm: DriftModel, seed: int = 0, n_traj: int = 32,
-                   batch_time: float = 5.0) -> SimConfig:
-    """Schedule derived from the drift eigenvalues.
+def suggest_config(dm: DriftModel, seed: int = 0, n_traj: int = 32) -> SimConfig:
+    """Schedule at the slowest time scale: 408 steps at any working point.
 
-    ``batch_time`` sets each batch's length in units of the slowest
-    relaxation time, keeping batch means near-independent. The step is a
-    quarter of the fastest time scale: the step map is exact at any dt,
-    but samples that close together resolve every mode, which keeps the
-    batch-mean standard error small for the simulated time.
+    The step is half the slowest relaxation time: the step map is exact
+    at any dt, and finer steps would only add correlated samples. Each
+    batch spans six relaxation times, keeping batch means near-independent.
     """
     if not eigen_stable(dm.M):
         raise UnstableSystem("cannot schedule an unstable model")
-    fastest, slowest = _rates(dm.M)
+    slowest = _rates(dm.M)[1]
     return SimConfig(
-        dt=float(_DT_FRACTION / fastest),
-        duration=float(_N_BATCHES * batch_time / slowest),
+        dt=float(0.5 / slowest),
+        duration=float(_N_BATCHES * _BATCH_TIME / slowest),
         burn_in=float(1.2 * _BURN_FACTOR / slowest),
         n_traj=n_traj,
         seed=seed,
@@ -148,8 +152,10 @@ def _expm(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_maps(M: np.ndarray, D: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) of the exact step f <- A f + B xi, with B B^T = Q.
+def _step_maps(M: np.ndarray, D: np.ndarray, dt: float,
+               fastest: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of the exact step f <- A f + B xi, with B B^T = Q; ``fastest``
+    is the first of ``_rates(M)``.
 
     Van Loan: exp([[-M, D], [0, M^T]] h) = [[., F12], [0, F22]] gives
     A = F22^T and Q = A F12 over a step h. That block holds exp(-M h), and
@@ -161,7 +167,7 @@ def _step_maps(M: np.ndarray, D: np.ndarray, dt: float) -> tuple[np.ndarray, np.
     with rounding-level negative eigenvalues clipped to zero.
     """
     n = M.shape[0]
-    scaled = dt * _rates(M)[0]
+    scaled = dt * fastest
     doublings = math.ceil(math.log2(scaled)) if scaled > 1.0 else 0
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = -M
@@ -177,33 +183,6 @@ def _step_maps(M: np.ndarray, D: np.ndarray, dt: float) -> tuple[np.ndarray, np.
     return A, U * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _block_maps(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P, W) of the blocked step over ``_BLOCK`` steps; see the module notes."""
-    n, b = A.shape[0], _BLOCK
-    powers = [np.eye(n)]
-    for _ in range(b):
-        powers.append(powers[-1] @ A.T)
-    first = B.T @ np.hstack(powers[:-1])      # B^T (A^T)^k, k = 0 .. b-1
-    W = np.zeros((n * b, n * b))
-    for j in range(b):
-        W[n * j:n * (j + 1), n * j:] = first[:, :n * (b - j)]
-    return np.hstack(powers[1:]), W
-
-
-def _propagate(state: np.ndarray, xi: np.ndarray, P: np.ndarray,
-               W: np.ndarray) -> np.ndarray:
-    """Run f <- A f + B xi over the noise xi (trajectories, steps, n),
-    overwriting xi with the states; returns the last state."""
-    n_traj, steps, n = xi.shape
-    for t in range(0, steps, _BLOCK):
-        block = xi[:, t:t + _BLOCK]          # a view; the tail may be shorter
-        m = block.shape[1] * n
-        states = state @ P[:, :m] + block.reshape(n_traj, m) @ W[:m, :m]
-        block[...] = states.reshape(block.shape)
-        state = states[:, -n:]
-    return state
-
-
 def simulate(dm: DriftModel, cfg: SimConfig) -> SimEstimate:
     """Estimate stationary Q and P variances by trajectory sampling.
 
@@ -215,7 +194,8 @@ def simulate(dm: DriftModel, cfg: SimConfig) -> SimEstimate:
     M, D = dm.M, dm.D
     if not eigen_stable(M):
         raise UnstableSystem("no stationary state to sample")
-    burn_floor = _BURN_FACTOR / _rates(M)[1]
+    fastest, slowest = _rates(M)
+    burn_floor = _BURN_FACTOR / slowest
     if cfg.burn_in < burn_floor * (1.0 - 1e-12):
         raise ConfigError(f"burn_in={cfg.burn_in} below relaxation floor {burn_floor:.3e}")
     # rounding-level negative eigenvalues pass; _step_maps clips them
@@ -225,7 +205,7 @@ def simulate(dm: DriftModel, cfg: SimConfig) -> SimEstimate:
     if np.linalg.eigvalsh(D)[0] < -scale:
         raise ValueError("diffusion matrix must be positive semidefinite")
 
-    P, W = _block_maps(*_step_maps(M, D, cfg.dt))
+    A, B = _step_maps(M, D, cfg.dt, fastest)
 
     n_burn, n_meas = cfg.steps()
     batch_len = n_meas // _N_BATCHES
@@ -240,17 +220,22 @@ def simulate(dm: DriftModel, cfg: SimConfig) -> SimEstimate:
         sq_sum = np.zeros(2)
         for start in range(0, n_steps, _MAX_SEGMENT):
             chunk = min(_MAX_SEGMENT, n_steps - start)
-            path = np.empty((cfg.n_traj, chunk, 4))
+            xi = np.empty((cfg.n_traj, chunk, 4))
             for i, gen in enumerate(gens):
-                gen.standard_normal(out=path[i])
-            state = _propagate(state, path, P, W)   # noise in, states out
+                gen.standard_normal(out=xi[i])
+            # (steps, trajectories, 4): B xi of each step, overwritten in
+            # place by that step's state f <- A f + B xi
+            path = xi.transpose(1, 0, 2) @ B.T
+            for row in path:
+                row += state @ A.T
+                state = row
             peak = float(np.abs(path).max())
             if peak > _DIVERGENCE_LIMIT:
                 raise DivergingTrajectory(
                     f"|f| reached {peak:.3e}; check the drift for transient growth"
                 )
             qp = path[:, :, :2]
-            sq_sum += np.einsum("tsk,tsk->k", qp, qp)   # 4x faster than (qp ** 2).sum here
+            sq_sum += np.einsum("stk,stk->k", qp, qp)   # 4x faster than (qp ** 2).sum here
         return sq_sum
 
     advance(n_burn)

@@ -133,8 +133,7 @@ class TestCriterion5:
         n_m = thermal_occupation(params().omega_m_phys, temperature)
         n_c = thermal_occupation(params().omega_c_phys, temperature)
         return AdiabaticInputs(G0=G0, cooperativity=400.0, n_th_m=n_m,
-                               n_th_c=n_c, gamma_m=1e-5, kappa=1.0,
-                               g=complex(math.sqrt(400.0 * 1e-5)), eta=eta)
+                               n_th_c=n_c, eta=eta)
 
     def test_closed_form_limits_cold(self):
         v0 = adiabatic_variance_p(self._inputs(0.0, 1.0 - 1e-12))

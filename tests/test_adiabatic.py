@@ -48,44 +48,39 @@ class TestClosedFormVariance:
 
     def test_cooperativity_doubling_halves_thermal_term(self):
         def inp(C: float) -> AdiabaticInputs:
-            g = math.sqrt(C * 1e-5)
             return AdiabaticInputs(G0=0.9, cooperativity=C, n_th_m=57.0,
-                                   n_th_c=0.0, gamma_m=1e-5, kappa=1.0, g=g)
+                                   n_th_c=0.0)
         first = 1.0 / (2.0 * 1.9)  # optical term, C-independent at T = 0
         t1 = adiabatic_variance_p(inp(200.0)) - first
         t2 = adiabatic_variance_p(inp(400.0)) - first
         assert t1 == pytest.approx(2.0 * t2, rel=1e-12)
 
     def test_approaches_quarter_at_gain_limit(self):
-        g = math.sqrt(400 * 1e-5)
         inp = AdiabaticInputs(G0=1 - 1e-12, cooperativity=400.0, n_th_m=0.0,
-                              n_th_c=0.0, gamma_m=1e-5, kappa=1.0, g=g)
+                              n_th_c=0.0)
         assert adiabatic_variance_p(inp) == pytest.approx(0.25125, abs=1e-9)
 
     def test_rejects_zero_coupling(self):
-        inp = AdiabaticInputs(G0=0.5, cooperativity=1.0, n_th_m=0.0,
-                              n_th_c=0.0, gamma_m=1e-5, kappa=1.0, g=0.0)
-        with pytest.raises(DomainError):
-            adiabatic_variance_p(inp)
+        # g = 0 is C = 0, which the inputs refuse
+        p = SystemParams(gamma_m=1e-5, cooperativity=0.0, G=0.25)
+        assert solve_steady_state(p).g == 0
+        with pytest.raises(DomainError, match="cooperativity"):
+            AdiabaticInputs.from_system(solve_steady_state(p), p)
 
 
 class TestDomainGuards:
     def test_gain_ratio_bounds(self):
         with pytest.raises(DomainError):
-            AdiabaticInputs(G0=1.0, cooperativity=1.0, n_th_m=0.0, n_th_c=0.0,
-                            gamma_m=1e-5, kappa=1.0, g=0.1)
+            AdiabaticInputs(G0=1.0, cooperativity=1.0, n_th_m=0.0, n_th_c=0.0)
         with pytest.raises(DomainError):
-            AdiabaticInputs(G0=-0.1, cooperativity=1.0, n_th_m=0.0, n_th_c=0.0,
-                            gamma_m=1e-5, kappa=1.0, g=0.1)
+            AdiabaticInputs(G0=-0.1, cooperativity=1.0, n_th_m=0.0, n_th_c=0.0)
 
     def test_cooperativity_must_be_positive(self):
         with pytest.raises(DomainError):
-            AdiabaticInputs(G0=0.5, cooperativity=0.0, n_th_m=0.0, n_th_c=0.0,
-                            gamma_m=1e-5, kappa=1.0, g=0.1)
+            AdiabaticInputs(G0=0.5, cooperativity=0.0, n_th_m=0.0, n_th_c=0.0)
 
     def test_feedback_gain_window(self):
-        kwargs = dict(G0=0.5, cooperativity=100.0, n_th_m=0.0, n_th_c=0.0,
-                      gamma_m=1e-5, kappa=1.0, g=0.1)
+        kwargs = dict(G0=0.5, cooperativity=100.0, n_th_m=0.0, n_th_c=0.0)
         AdiabaticInputs(eta=400.0, **kwargs)  # boundary 4C is allowed
         with pytest.raises(FeedbackUnstable):
             AdiabaticInputs(eta=400.0 + 1e-9, **kwargs)
@@ -101,10 +96,8 @@ class TestFeedback:
             0.12736057040878931, rel=1e-12)
 
     def test_value_at_gain_limit(self):
-        g = math.sqrt(400 * 1e-5)
         inp = AdiabaticInputs(G0=1 - 1e-12, cooperativity=400.0, n_th_m=0.0,
-                              n_th_c=0.0, gamma_m=1e-5, kappa=1.0, g=g,
-                              eta=800.0)
+                              n_th_c=0.0, eta=800.0)
         assert feedback_variance_p(inp) == pytest.approx(0.12546816479410103,
                                                          rel=1e-12)
 

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import omsqueeze
-from omsqueeze import ModelError
+from omsqueeze import ModelError, SimConfig
 from omsqueeze.cli import _write_table, build_parser, main, read_table
 
 OPT_FLAGS = ["--gamma-m", "1e-5", "--cooperativity", "400",
@@ -235,10 +236,43 @@ class TestAnalyticOracleValidate:
                              r"(\d+) measured\) x 2 trajectories at dt=(\S+)",
                              plans[0])
         total, n_burn, n_meas = map(int, match.groups()[:3])
-        assert total == n_burn + n_meas and n_meas % 32 == 0
-        assert n_burn == math.ceil(float(row["burn_in"]) / dt)
-        assert n_meas == 32 * math.ceil(float(row["duration"]) / dt / 32)
+        assert (total, n_burn, n_meas) == (408, 24, 384)
         assert float(match[4]) == pytest.approx(dt, rel=1e-3)
+        # burn_in / dt is 24 up to the rounding of the 12-digit fields; the
+        # schedule read back from the row plans the same run, and so does a
+        # rerun given the row's own --dt, --duration and --burn-in
+        recomputed = SimConfig(dt=dt, duration=float(row["duration"]),
+                               burn_in=float(row["burn_in"])).steps()
+        assert recomputed == (n_burn, n_meas)
+        caplog.clear()
+        code, _ = run(tmp_path, *argv, "--dt", row["dt"], "--duration",
+                      row["duration"], "--burn-in", row["burn_in"], name="rerun.csv")
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("sampling ")] == plans
+
+    def test_oracle_at_a_stiff_point(self, tmp_path):
+        # C = 1e12: the schedule of a quarter of the fastest time scale
+        # planned more than 1e8 steps; at the slowest one it is 408
+        t0 = time.perf_counter()
+        code, path = run(tmp_path, "oracle", "--gamma-m", "1e-2",
+                         "--cooperativity", "1e12", "--gain", "0.3",
+                         "--trajectories", "16", "--seed", "0")
+        assert code == 0 and time.perf_counter() - t0 < 5.0
+        row = read_table(path)[1][0]
+        assert abs(float(row["z_p"])) <= 3.0
+
+    def test_validate_samples_the_whole_box(self, tmp_path):
+        # the stochastic route is checked where the quadrature is, beyond
+        # the former SDE box of gamma_m >= 5e-3, C <= 100 and T = 0
+        code, path = run(tmp_path, "validate", "--seed", "7")
+        assert code == 0
+        sde = [row for row in read_table(path)[1] if row["check"] == "sde_vs_lyapunov"]
+        assert len(sde) == 20
+        outside = [row for row in sde if float(row["gamma_m"]) < 5e-3
+                   or float(row["cooperativity"]) > 100.0
+                   or float(row["temperature_K"]) > 0.0]
+        assert len(outside) >= 10
 
     def test_validate_small(self, tmp_path, capsys):
         code, path = run(tmp_path, "validate", "--seed", "3",
@@ -353,6 +387,25 @@ class TestExitCodes:
         bad.write_text("gamma_m = 1e-5\nnonsense_key = 3\n")
         assert main(["analytic", "--config", str(bad)]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_repeated_config_key(self, tmp_path, capsys):
+        # the last value used to win silently
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("gamma_m = 1e-5\ncooperativity = 400\ngamma_m = 2e-5\n")
+        assert main(["analytic", "--config", str(bad), "-o", str(tmp_path / "x.csv")]) == 1
+        assert f"usage error: {bad}:3: repeated key 'gamma_m'" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_missing_config_key(self, tmp_path, capsys):
+        # named as the key, not as a missing constructor argument
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("cooperativity = 400\n")
+        assert main(["analytic", "--config", str(bad), "-o", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "usage error: missing required parameter 'gamma_m'" in err
+        assert "__init__" not in err
+        assert main(["analytic", "--config", str(bad), "--gamma-m", "1e-5",
+                     "-o", str(tmp_path / "x.csv")]) == 0
 
     def test_missing_preset(self, capsys):
         assert main(["analytic", "--config", "fig99"]) == 1
@@ -520,7 +573,8 @@ def test_import_leaves_module_out(module):
 
 
 # ---------------------------------------------------------------------------
-# property: any argument list keeps the exit-code and finite-output contract
+# property: any argument list and config file keep the exit-code and
+# finite-output contract
 
 ODD_FLOATS = [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324,
               2.2250738585072014e-308, 0.0, -0.0]
@@ -548,6 +602,22 @@ def count_flag(flag: str, least: int, hi: int):
         lambda n: [flag, str(n)])
 
 
+SEED_FLAG = st.integers(-2, 2**70).map(lambda n: [f"--seed={n}"])
+# the oracle's schedule: the suggested one; an odd --dt alone, with the
+# suggested burn-in and duration; or a whole explicit schedule of at most
+# 4,000 steps with a step of 5 to 1e6, from about 50 to 1e7 of the fastest
+# time scale. Every schedule drawn is refused by the schedule checks or the
+# 1e9-step cap, or runs a few thousand steps at most. 1,000 steps of
+# burn-in pass the relaxation floor of the presets from a step of 5 on.
+ORACLE_SCHEDULE = st.one_of(
+    st.just([]),
+    st.sampled_from(ODD_FLOATS).map(lambda v: [f"--dt={v!r}"]),
+    st.tuples(st.floats(min_value=5.0, max_value=1e6),
+              st.integers(16, 2000), st.integers(1000, 2000)).map(
+        lambda s: [f"--dt={s[0]!r}", f"--duration={s[0] * s[1]!r}",
+                   f"--burn-in={s[0] * s[2]!r}"]),
+)
+
 # each example sets at most three of these and the command's optional flags
 # on top of a preset, so that a fair share of examples gets past the input
 # checks into the numerics
@@ -561,7 +631,8 @@ PARAM_FLAGS = [
     value_flag("--kappa", 0.5, 2.0),
     value_flag("--detuning", 1.0, 20.0),
 ]
-# grid sizes are always given and small; the other flags are optional
+# grid sizes and draw counts are always given and small; the other flags
+# are optional
 COMMAND_FLAGS = {
     "analytic": ([], [value_flag("--eta", 0.0, 1000.0)]),
     "spectrum": ([count_flag("--points", 1, 5)], [range_flag("--omega-range", -1.0, 1.0)]),
@@ -574,7 +645,37 @@ COMMAND_FLAGS = {
     "stability-map": ([count_flag("--gain-points", 1, 3), count_flag("--coop-points", 1, 3)],
                       [range_flag("--gain-range", 0.0, 1.0),
                        range_flag("--coop-range", 0.0, 1000.0)]),
+    "oracle": ([ORACLE_SCHEDULE], [count_flag("--trajectories", 1, 3), SEED_FLAG]),
+    "validate": ([count_flag("--quad-draws", 1, 2), count_flag("--sde-draws", 1, 2)],
+                 [SEED_FLAG]),
 }
+PRESETS = ["fig3", "fig7", "fig9"]
+
+# a config file in place of a preset: fig3's lines with a few edits, each
+# dropping a key, repeating one, adding an unknown one or setting a value
+# (a number, an odd float, an angle expression or junk)
+FIG3 = {"gamma_m": "1e-5", "cooperativity": "400", "theta": "pi/16", "G": "0.49",
+        "temperature": "0"}
+CONFIG_KEYS = [*FIG3, "detuning", "omega_m", "kappa"]
+ANGLE_TEXTS = ["pi/16", "-3*pi/4", "(1 + pi)/2", "2*e", "pi/0", "2**3", "pi*(",
+               "1e308*10", "nan", "inf", ""]
+CONFIG_VALUES = st.one_of(numbers(0.0, 1.0).map(repr), st.sampled_from(ANGLE_TEXTS),
+                          st.text(alphabet="0123456789.e+-*/() pi#=", max_size=8))
+CONFIG_EDITS = st.tuples(st.sampled_from(["drop", "repeat", "unknown", "set"]),
+                         st.sampled_from(CONFIG_KEYS), CONFIG_VALUES)
+
+
+def config_text(edits) -> str:
+    lines = dict(FIG3)
+    extra = []
+    for action, key, value in edits:
+        if action == "drop":
+            lines.pop(key, None)
+        elif action == "set":
+            lines[key] = value
+        else:
+            extra.append(f"{'nonsense' if action == 'unknown' else key} = {value}")
+    return "\n".join([f"{k} = {v}" for k, v in lines.items()] + extra) + "\n"
 
 
 def _numbers_in(path: Path) -> list:
@@ -596,14 +697,21 @@ def _numbers_in(path: Path) -> list:
 @settings(derandomize=True, max_examples=100, deadline=None, database=None)
 @given(data=st.data())
 def test_any_arguments_keep_the_exit_contract(command, data):
-    preset = data.draw(st.sampled_from(["fig3", "fig7", "fig9"]), label="preset")
     fixed, optional = COMMAND_FLAGS[command]
-    chosen = data.draw(st.lists(st.sampled_from(PARAM_FLAGS + optional),
-                                max_size=3, unique_by=id), label="overrides")
-    flags = [data.draw(strategy) for strategy in fixed + chosen]
-    argv = [command, "--quiet", "--config", preset,
-            *(token for flag in flags for token in flag)]
     with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, "--quiet"]
+        params = []
+        if command != "validate":      # validate draws its own working points
+            source = data.draw(st.sampled_from([*PRESETS, "file"]), label="config")
+            if source == "file":
+                edits = data.draw(st.lists(CONFIG_EDITS, max_size=2), label="edits")
+                source = str(Path(tmp) / "in.cfg")
+                Path(source).write_text(config_text(edits))
+            argv += ["--config", source]
+            params = PARAM_FLAGS
+        chosen = data.draw(st.lists(st.sampled_from(params + optional),
+                                    max_size=3, unique_by=id), label="overrides")
+        argv += [token for strategy in fixed + chosen for token in data.draw(strategy)]
         path = Path(tmp) / "x.csv"
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \

@@ -74,13 +74,15 @@ class TestSolverProperties:
             assert np.abs(res).max() < 1e-10 * np.abs(dm.D).max()
             assert cov.residual < 1e-10
 
-    def test_one_linear_solve(self, opt_params, opt_state, monkeypatch):
+    def test_one_system_solved_and_refined(self, opt_params, opt_state, monkeypatch):
+        # the reduced system and one refinement step against its residual
         calls = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve",
-                            lambda a, b: calls.append(a.shape) or solve(a, b))
+                            lambda a, b: calls.append(a) or solve(a, b))
         steady_covariance(build_drift(opt_state, opt_params))
-        assert calls == [(10, 10)]
+        assert [a.shape for a in calls] == [(10, 10), (10, 10)]
+        assert calls[0] is calls[1]
 
     def test_assembly_equals_the_pair_loop(self):
         # reference: the reduced system filled entry by entry, pair by pair

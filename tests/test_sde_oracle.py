@@ -19,8 +19,7 @@ from omsqueeze import (
     steady_covariance,
     suggest_config,
 )
-from omsqueeze import sde_oracle
-from omsqueeze.sde_oracle import _BLOCK, _MAX_SEGMENT, _expm, _step_maps
+from omsqueeze.sde_oracle import _expm, _rates, _step_maps
 
 from conftest import draw_stable_params
 
@@ -40,7 +39,7 @@ def quick_model() -> DriftModel:
 
 @pytest.fixture(scope="module")
 def quick_config(quick_model) -> SimConfig:
-    return suggest_config(quick_model, seed=11, n_traj=8, batch_time=2.0)
+    return suggest_config(quick_model, seed=11, n_traj=8)
 
 
 class TestSimConfig:
@@ -81,15 +80,25 @@ class TestSimConfig:
 
 class TestSuggestConfig:
     def test_schedule_respects_rates(self, quick_model):
+        # half the slowest relaxation time per step, a burn-in of 12 and
+        # batches of 6 relaxation times
         cfg = suggest_config(quick_model, seed=3, n_traj=5)
-        M = quick_model.M
-        lam = np.linalg.eigvals(M)
-        fastest = max(float(np.abs(lam).max()), -0.5 * (M[2, 2] + M[3, 3]))
-        slowest = float((-lam.real).min())
-        assert cfg.dt * fastest == pytest.approx(0.25, rel=1e-12)
-        assert cfg.burn_in * slowest >= 10.0
-        assert cfg.duration >= 32 * cfg.dt
+        slowest = float((-np.linalg.eigvals(quick_model.M).real).min())
+        assert cfg.dt * slowest == pytest.approx(0.5, rel=1e-12)
+        assert cfg.burn_in * slowest == pytest.approx(12.0, rel=1e-12)
+        assert cfg.duration * slowest == pytest.approx(32 * 6.0, rel=1e-12)
         assert cfg.n_traj == 5 and cfg.seed == 3
+
+    def test_one_step_count_at_every_working_point(self):
+        # 24 burn-in and 384 measured steps, whatever the stiffness; at
+        # C = 1e12 a step of a quarter of the fastest time scale planned
+        # more than 1e8 steps
+        rng = np.random.default_rng(4)
+        models = [build_drift(solve_steady_state(p), p)
+                  for p in (draw_stable_params(rng) for _ in range(50))]
+        models.append(drift_for(1e-2, 1e12, 0.3, 0.0))
+        for dm in models:
+            assert suggest_config(dm).steps() == (24, 384)
 
     def test_rejects_unstable_model(self, quick_model):
         dm = DriftModel(M=-quick_model.M, D=quick_model.D)
@@ -116,7 +125,7 @@ class TestStatistics:
         # diagonal drift: every quadrature is an independent OU process
         # with the vacuum variance 1/2
         dm = drift_for(0.2, 0.0, 0.0, 0.0)
-        cfg = suggest_config(dm, seed=2, n_traj=16, batch_time=4.0)
+        cfg = suggest_config(dm, seed=2, n_traj=16)
         est = simulate(dm, cfg)
         assert steady_covariance(dm).var_q == pytest.approx(0.5, rel=1e-12)
         assert abs(est.var_q - 0.5) / est.stderr_q < 3.0
@@ -124,7 +133,7 @@ class TestStatistics:
 
     def test_squeezing_point_matches_lyapunov(self):
         dm = drift_for(1e-2, 400.0, 0.49, math.pi / 16)
-        cfg = suggest_config(dm, seed=7, n_traj=16, batch_time=2.0)
+        cfg = suggest_config(dm, seed=7, n_traj=16)
         est = simulate(dm, cfg)
         cov = steady_covariance(dm)
         assert cov.var_p == pytest.approx(0.2538023528094241, rel=1e-12)
@@ -166,7 +175,7 @@ class TestStepMaps:
         worst = 0.0
         for dm, dt, _ in _van_loan_blocks(50):
             V = steady_covariance(dm).V
-            A, B = _step_maps(dm.M, dm.D, dt)
+            A, B = _step_maps(dm.M, dm.D, dt, _rates(dm.M)[0])
             worst = max(worst, np.abs(A @ V @ A.T + B @ B.T - V).max()
                         / np.abs(V).max())
         assert worst <= 1e-12
@@ -181,7 +190,8 @@ class TestStepMaps:
         worst = 0.0
         for scaled in (0.25, 1.0, 20.0, 40.0, 80.0, 160.0, 1e3, 1e4):
             for dm in models:
-                A, B = _step_maps(dm.M, dm.D, scaled / sde_oracle._rates(dm.M)[0])
+                fastest = _rates(dm.M)[0]
+                A, B = _step_maps(dm.M, dm.D, scaled / fastest, fastest)
                 V = steady_covariance(dm).V
                 Q = V - A @ V @ A.T
                 worst = max(worst, np.abs(B @ B.T - Q).max() / np.abs(Q).max())
@@ -192,43 +202,10 @@ class TestStepMaps:
         M = np.diag([-1.0, -2.0, -0.5, -0.5])
         M[0, 1] = 0.7
         D = np.diag([0.0, 2.0, 0.0, 0.0])
-        A, B = _step_maps(M, D, 0.3)
+        A, B = _step_maps(M, D, 0.3, _rates(M)[0])
         assert np.all(np.isfinite(B))
         V = scipy.linalg.solve_continuous_lyapunov(M, -D)
         assert np.allclose(A @ V @ A.T + B @ B.T, V, rtol=0, atol=1e-14)
-
-
-class TestBlockedStep:
-    def test_states_match_the_one_step_recurrence(self, quick_model, monkeypatch):
-        # burn-in 4133 steps: one full noise draw and a 37-step rest; batches
-        # of 21 steps; neither is a multiple of the block
-        n_burn, batch_len = _MAX_SEGMENT + 37, 21
-        assert n_burn % _BLOCK and batch_len % _BLOCK
-        dt = 0.17
-        cfg = SimConfig(dt=dt, burn_in=(n_burn - 0.5) * dt,
-                        duration=(32 * batch_len - 0.5) * dt, n_traj=3, seed=5)
-        runs = []                        # (noise, states) of every draw
-        propagate = sde_oracle._propagate
-
-        def recording(state, path, P, W):
-            noise = path.copy()
-            last = propagate(state, path, P, W)
-            runs.append((noise, path.copy()))
-            return last
-
-        monkeypatch.setattr(sde_oracle, "_propagate", recording)
-        simulate(quick_model, cfg)
-        lengths = [noise.shape[1] for noise, _ in runs]
-        assert lengths[:2] == [_MAX_SEGMENT, 37] and lengths[2:] == [batch_len] * 32
-
-        A, B = _step_maps(quick_model.M, quick_model.D, dt)
-        f = np.zeros((cfg.n_traj, 4))
-        worst = 0.0
-        for noise, states in runs:
-            for t in range(noise.shape[1]):
-                f = f @ A.T + noise[:, t] @ B.T
-                worst = max(worst, np.abs(states[:, t] - f).max() / np.abs(f).max())
-        assert worst <= 1e-12
 
 
 class TestGuards:
@@ -251,7 +228,7 @@ class TestGuards:
         dm = DriftModel(M=quick_model.M, D=quick_model.D + 0.3 * np.outer(v, v))
         cov = steady_covariance(dm)
         assert abs(cov.var_q - steady_covariance(quick_model).var_q) > 0.05
-        est = simulate(dm, suggest_config(dm, seed=5, n_traj=8, batch_time=2.0))
+        est = simulate(dm, suggest_config(dm, seed=5, n_traj=8))
         assert abs(est.var_q - cov.var_q) / est.stderr_q < 3.0
         assert abs(est.var_p - cov.var_p) / est.stderr_p < 3.0
 
