@@ -23,7 +23,6 @@ from .errors import (
     ZeroCoupling,
 )
 from .params import (
-    RwaReport,
     SteadyState,
     SystemParams,
     load_config,
@@ -86,7 +85,6 @@ __all__ = [
     "NonConvergence",
     "NonPositiveVariance",
     "QuadratureFailure",
-    "RwaReport",
     "SimConfig",
     "SimEstimate",
     "SingularSolve",

@@ -9,7 +9,11 @@ line, then comma-separated rows. Floats are written with 12 significant
 digits, so identical inputs produce byte-identical files apart from the
 timestamp line. Unstable sweep points stay in the table as flagged rows
 with empty value fields. A ``.jsonl`` mirror with the same stem carries
-the metadata object followed by one JSON object per row.
+the metadata object followed by one JSON object per row. Without
+``--output`` a command writes ``<command>.csv`` in ``--outdir``. An
+output path that is its own mirror (``-o x.jsonl``) is refused unless
+``--no-jsonl`` is given, and a file that cannot be opened leaves neither
+file written.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 numerical
 failure, including arithmetic overflow and a non-finite result, which is
@@ -47,7 +51,7 @@ from .errors import (
     QuadratureFailure,
     UnstableSystem,
 )
-from .lyapunov import steady_covariance
+from .lyapunov import Covariance, steady_covariance
 from .mech_spectra import quadrature_variances, spectrum, squeezing_db
 from .output_detection import detection_map, find_band, spectrum_zout
 from .params import (
@@ -60,11 +64,21 @@ from .params import (
     solve_steady_state,
 )
 from .sde_oracle import SimConfig, simulate, suggest_config
-from .stability import build_drift, routh_hurwitz
+from .stability import DriftModel, build_drift, routh_hurwitz
 
 _log = logging.getLogger("omsqueeze")
 
-_OUTDIR_ENV = "OMSQUEEZE_OUTDIR"
+# the model parameter flags: (flag, params_from_mapping keyword, type, help)
+_PARAM_FLAGS = (
+    ("--kappa", "kappa", float, "cavity linewidth (normalization unit)"),
+    ("--omega-m", "omega_m", float, "mechanical frequency, units of kappa"),
+    ("--gamma-m", "gamma_m", float, "mechanical damping, units of kappa"),
+    ("--gain", "G", float, "parametric gain G, units of kappa"),
+    ("--theta", "theta", parse_angle, "parametric phase, radians or pi-fraction (pi/16)"),
+    ("--cooperativity", "cooperativity", float, "optomechanical cooperativity"),
+    ("--temperature", "temperature", float, "bath temperature, kelvin"),
+    ("--detuning", "detuning", parse_angle, "drive detuning, units of kappa (default omega_m)"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,14 +105,8 @@ def _resolve_config(name: str) -> dict[str, float]:
 
 
 def _load_params(args) -> SystemParams:
-    mapping: dict[str, float] = {}
-    if getattr(args, "config", None):
-        mapping = _resolve_config(args.config)
-    overrides = {
-        key: getattr(args, key, None)
-        for key in ("kappa", "omega_m", "gamma_m", "G", "theta",
-                    "cooperativity", "temperature", "detuning")
-    }
+    mapping = _resolve_config(args.config) if args.config else {}
+    overrides = {key: getattr(args, key) for _, key, _, _ in _PARAM_FLAGS}
     return params_from_mapping(mapping, **overrides)
 
 
@@ -125,16 +133,40 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _output_path(args) -> Path:
-    if args.output:
-        return Path(args.output)
-    outdir = Path(getattr(args, "outdir", None) or os.environ.get(_OUTDIR_ENV, "."))
-    return outdir / args.default_output
+def _open_all(paths: list[Path]) -> list:
+    """Open every output file or none. Append mode creates a file without
+    truncating one that exists, so when an open fails, the files already
+    opened are closed, those this run created are removed, and an earlier
+    table stays as it was. Regular files are emptied once all are open;
+    a device such as /dev/null cannot be truncated."""
+    handles, made = [], []
+    try:
+        for path in paths:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if not path.exists():
+                made.append(path)
+            handles.append(open(path, "a", encoding="utf-8", newline=""))
+    except OSError as exc:
+        for fh in handles:
+            fh.close()
+        for created in made:
+            created.unlink(missing_ok=True)
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+    for fh, path in zip(handles, paths):
+        if path.is_file():
+            fh.truncate(0)
+    return handles
 
 
 def _write_table(args, columns: list[str], rows: list[tuple],
                  metadata: dict[str, object]) -> Path:
-    path = _output_path(args)
+    path = Path(args.output or Path(args.outdir) / f"{args.command_name}.csv")
+    # the mirror shares the stem; with_suffix would raise for a path without
+    # a name, such as ".", which the open then reports as a directory
+    targets = [path] if args.no_jsonl else [path, path.parent / f"{path.stem}.jsonl"]
+    if len(set(targets)) < len(targets):
+        raise ConfigError(f"output path {path} is its own JSON-lines mirror; "
+                          "give it another suffix or pass --no-jsonl")
     meta = {"command": args.command_name, "version": __version__}
     meta.update(metadata)
     if not args.no_timestamp:
@@ -144,36 +176,23 @@ def _write_table(args, columns: list[str], rows: list[tuple],
                                       *(zip(columns, row) for row in rows)):
         if isinstance(value, float) and not math.isfinite(value):
             raise ModelError(f"non-finite result: {key} = {value}")
+    handles = _open_all(targets)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
-    with fh:
+        fh = handles[0]
         for key, value in meta.items():
             fh.write(f"# {key} = {_fmt(value)}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-    if not args.no_jsonl:
-        jpath = path.with_suffix(".jsonl")
-        try:
-            jh = open(jpath, "w", encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot write output file {jpath}: {exc}") from exc
-        with jh:
-            jh.write(json.dumps({"metadata": {k: _json_value(v) for k, v in meta.items()}})
-                     + "\n")
+        for jh in handles[1:]:
+            jh.write(json.dumps({"metadata": meta}) + "\n")
             for row in rows:
-                jh.write(json.dumps(dict(zip(columns, map(_json_value, row)))) + "\n")
+                jh.write(json.dumps(dict(zip(columns, row))) + "\n")
+    finally:
+        for handle in handles:
+            handle.close()
     _log.info("wrote %s", path)
     return path
-
-
-def _json_value(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
 
 
 def read_table(path) -> tuple[dict[str, str], list[dict[str, str]]]:
@@ -203,7 +222,7 @@ def read_table(path) -> tuple[dict[str, str], list[dict[str, str]]]:
 
 def _mech_row(p: SystemParams) -> tuple:
     ss = solve_steady_state(p)
-    warnings = ";".join(rwa_flags(p, ss.g).failures())
+    warnings = ";".join(rwa_flags(p, ss.g))
     try:
         pair = quadrature_variances(ss, p)
     except UnstableSystem:
@@ -221,12 +240,12 @@ def _cavity_row(p: SystemParams) -> tuple:
     try:
         _, var_y = cavity_variances(p)
     except AboveThreshold:
-        return (None, None, False, "")
+        return (p.theta, None, None, False, "")
     except QuadratureFailure:
         # below threshold but so close that the variance integral hits its
         # panel cap; keep the sweep alive and flag the point
-        return (None, None, True, "variance integral failed (next to threshold)")
-    return (var_y, squeezing_db(var_y), True, "")
+        return (p.theta, None, None, True, "variance integral failed (next to threshold)")
+    return (p.theta, var_y, squeezing_db(var_y), True, "")
 
 
 def _stability_row(p: SystemParams) -> tuple:
@@ -236,10 +255,15 @@ def _stability_row(p: SystemParams) -> tuple:
     return (p.G / p.kappa, p.cooperativity, c1, c2, c3, report.stable, report.marginal)
 
 
-def _quad_lyap_case(p: SystemParams) -> tuple:
+def _lyapunov(p: SystemParams) -> tuple[SteadyState, DriftModel, Covariance]:
+    # the steady state, its drift model and the Lyapunov covariance
     ss = solve_steady_state(p)
     dm = build_drift(ss, p)
-    cov = steady_covariance(dm)
+    return ss, dm, steady_covariance(dm)
+
+
+def _quad_lyap_case(p: SystemParams) -> tuple:
+    ss, _, cov = _lyapunov(p)
     pair = quadrature_variances(ss, p)
     rel = max(abs(pair.var_q - cov.var_q) / cov.var_q,
               abs(pair.var_p - cov.var_p) / cov.var_p)
@@ -247,9 +271,7 @@ def _quad_lyap_case(p: SystemParams) -> tuple:
 
 
 def _sde_case(p: SystemParams, seed: int) -> tuple:
-    ss = solve_steady_state(p)
-    dm = build_drift(ss, p)
-    cov = steady_covariance(dm)
+    _, dm, cov = _lyapunov(p)
     est = simulate(dm, suggest_config(dm, seed=seed, n_traj=16))
     z = abs(est.var_p - cov.var_p) / est.stderr_p
     return (p.gamma_m, p.cooperativity, p.G, p.theta, p.temperature, z)
@@ -272,58 +294,49 @@ def _grid(bounds: tuple[float, float], points: int, flag: str) -> np.ndarray:
     return np.linspace(lo, hi, points)
 
 
-def _sweep_range(args, default_lo: float, default_hi: float) -> np.ndarray:
+# each swept field: its column, its default range, and whether both are
+# in units of kappa (the range given by --range is in the field's own units)
+_SWEPT = {
+    "G": ("G_over_kappa", (0.0, 0.49), True),
+    "cooperativity": ("cooperativity", (10.0, 4000.0), False),
+    "temperature": ("temperature_K", (0.0, 0.02), False),
+}
+_MECH_COLUMNS = ["var_q", "var_p", "squeezing_db", "stable", "warnings"]
+_CAVITY_COLUMNS = ["theta", "var_y", "squeezing_db", "stable", "warnings"]
+
+
+def _sweep(args, field: str, row, columns: list[str]) -> int:
+    """One table row per value of ``field``, from ``row`` of the working
+    point with that value; ``columns`` name the row's fields."""
+    p0 = _load_params(args)
+    column, (lo, hi), per_kappa = _SWEPT[field]
+    unit = p0.kappa if per_kappa else 1.0
     if args.points < 2:
         raise ConfigError("a sweep needs at least 2 points")
-    return _grid(args.range or (default_lo, default_hi), args.points, "--points")
-
-
-def _emit_sweep(args, p0: SystemParams, column: str, values: np.ndarray,
-                results: list[tuple], extra_meta: dict | None = None) -> int:
-    columns = [column, "var_q", "var_p", "squeezing_db", "stable", "warnings"]
-    rows = [(float(v), *res) for v, res in zip(values, results)]
+    values = _grid(args.range or (lo * unit, hi * unit), args.points, "--points")
+    rows = [(float(v) / unit, *row(dataclasses.replace(p0, **{field: float(v)})))
+            for v in values]
     meta = _params_metadata(p0)
     meta["swept"] = column
     meta["points"] = len(rows)
-    if extra_meta:
-        meta.update(extra_meta)
-    _write_table(args, columns, rows, meta)
+    _write_table(args, [column, *columns], rows, meta)
     return 0
 
 
 def cmd_sweep_gain(args) -> int:
-    p0 = _load_params(args)
-    gains = _sweep_range(args, 0.0, 0.49 * p0.kappa)
-    results = [_mech_row(dataclasses.replace(p0, G=float(g))) for g in gains]
-    return _emit_sweep(args, p0, "G_over_kappa", gains / p0.kappa, results)
+    return _sweep(args, "G", _mech_row, _MECH_COLUMNS)
 
 
 def cmd_sweep_cooperativity(args) -> int:
-    p0 = _load_params(args)
-    coops = _sweep_range(args, 10.0, 4000.0)
-    results = [_mech_row(dataclasses.replace(p0, cooperativity=float(c))) for c in coops]
-    return _emit_sweep(args, p0, "cooperativity", coops, results)
+    return _sweep(args, "cooperativity", _mech_row, _MECH_COLUMNS)
 
 
 def cmd_sweep_temperature(args) -> int:
-    p0 = _load_params(args)
-    temps = _sweep_range(args, 0.0, 0.02)
-    results = [_mech_row(dataclasses.replace(p0, temperature=float(t))) for t in temps]
-    return _emit_sweep(args, p0, "temperature_K", temps, results)
+    return _sweep(args, "temperature", _mech_row, _MECH_COLUMNS)
 
 
 def cmd_cavity_sweep(args) -> int:
-    p0 = _load_params(args)
-    gains = _sweep_range(args, 0.0, 0.49 * p0.kappa)
-    results = [_cavity_row(dataclasses.replace(p0, G=float(g))) for g in gains]
-    columns = ["G_over_kappa", "theta", "var_y", "squeezing_db", "stable", "warnings"]
-    rows = [(float(g) / p0.kappa, p0.theta, *result)
-            for g, result in zip(gains, results)]
-    meta = _params_metadata(p0)
-    meta["swept"] = "G_over_kappa"
-    meta["points"] = len(rows)
-    _write_table(args, columns, rows, meta)
-    return 0
+    return _sweep(args, "G", _cavity_row, _CAVITY_COLUMNS)
 
 
 def cmd_stability_map(args) -> int:
@@ -434,9 +447,7 @@ def cmd_analytic(args) -> int:
 
 def cmd_oracle(args) -> int:
     p = _load_params(args)
-    ss = solve_steady_state(p)
-    dm = build_drift(ss, p)
-    cov = steady_covariance(dm)
+    _, dm, cov = _lyapunov(p)
     given = {key: getattr(args, key) for key in ("dt", "duration", "burn_in")
              if getattr(args, key) is not None}
     if len(given) == 3:
@@ -469,14 +480,6 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _stable_state(p: SystemParams) -> SteadyState | None:
-    """The steady state of p if it is stable with every Routh-Hurwitz
-    condition above 1e-8, else None."""
-    ss = solve_steady_state(p)
-    report = routh_hurwitz(p, ss)
-    return ss if report.stable and min(report.conditions) > 1e-8 else None
-
-
 def _draw_mech_params(rng: np.random.Generator) -> SystemParams:
     """Rejection-sample a comfortably stable working point over the
     supported ranges: every validate draw and the test suite's."""
@@ -488,7 +491,8 @@ def _draw_mech_params(rng: np.random.Generator) -> SystemParams:
             theta=float(rng.uniform(0.0, 2.0 * math.pi)),
             temperature=float(rng.choice([0.0, 0.01, 0.02])),
         )
-        if _stable_state(p) is not None:
+        report = routh_hurwitz(p, solve_steady_state(p))
+        if report.stable and min(report.conditions) > 1e-8:
             return p
 
 
@@ -540,48 +544,10 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _add_param_flags(sub) -> None:
-    group = sub.add_argument_group("model parameters")
-    group.add_argument("--config", metavar="PATH",
-                       help="config file path or bundled preset name (fig3 .. fig9)")
-    group.add_argument("--kappa", type=float, help="cavity linewidth (normalization unit)")
-    group.add_argument("--omega-m", dest="omega_m", type=float,
-                       help="mechanical frequency, units of kappa")
-    group.add_argument("--gamma-m", dest="gamma_m", type=float,
-                       help="mechanical damping, units of kappa")
-    group.add_argument("--gain", dest="G", type=float,
-                       help="parametric gain G, units of kappa")
-    group.add_argument("--theta", type=parse_angle,
-                       help="parametric phase, radians or pi-fraction (pi/16)")
-    group.add_argument("--cooperativity", type=float, help="optomechanical cooperativity")
-    group.add_argument("--temperature", type=float, help="bath temperature, kelvin")
-    group.add_argument("--detuning", type=parse_angle,
-                       help="drive detuning, units of kappa (default omega_m)")
-
-
-def _add_output_flags(sub, default_output: str) -> None:
-    group = sub.add_argument_group("output")
-    group.add_argument("--output", "-o", metavar="PATH",
-                       help=f"output CSV path (default: {default_output})")
-    group.add_argument("--outdir", default=os.environ.get(_OUTDIR_ENV, "."),
-                       help="output directory (env OMSQUEEZE_OUTDIR)")
-    group.add_argument("--no-timestamp", action="store_true",
-                       help="omit the generated_at metadata line")
-    group.add_argument("--no-jsonl", action="store_true",
-                       help="skip the JSON-lines mirror file")
-    sub.set_defaults(default_output=default_output)
-
-
-def _add_workers_flag(sub) -> None:
-    # accepted and ignored: every command runs in one process
-    sub.add_argument("--workers", type=int, help=argparse.SUPPRESS)
-
-
-def _add_sweep_flags(sub, points: int) -> None:
-    sub.add_argument("--range", nargs=2, type=float, metavar=("LO", "HI"),
-                     help="sweep interval")
-    sub.add_argument("--points", type=int, default=points,
-                     help=f"number of sweep points (default {points})")
+# a command's own flags are (flag, add_argument keywords); --workers is
+# accepted and ignored, as every command runs in one process
+_WORKERS = ("--workers", dict(type=int, help=argparse.SUPPRESS))
+_RANGE = dict(nargs=2, metavar=("LO", "HI"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -602,143 +568,96 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command_name", required=True, metavar="COMMAND")
 
-    sub = subs.add_parser("sweep-gain", parents=[logging_flags],
-                          help="momentum variance vs parametric gain")
-    _add_param_flags(sub)
-    _add_sweep_flags(sub, 50)
-    _add_workers_flag(sub)
-    _add_output_flags(sub, "sweep-gain.csv")
-    sub.set_defaults(func=cmd_sweep_gain)
+    def command(name, func, summary, *flags, params=True, sweep_points=None):
+        # the model parameters, then the command's own flags, then output
+        sub = subs.add_parser(name, parents=[logging_flags], help=summary)
+        if params:
+            group = sub.add_argument_group("model parameters")
+            group.add_argument("--config", metavar="PATH",
+                               help="config file path or bundled preset name (fig3 .. fig9)")
+            for flag, key, kind, text in _PARAM_FLAGS:
+                group.add_argument(flag, dest=key, type=kind, help=text)
+        if sweep_points:
+            sub.add_argument("--range", type=float, help="sweep interval", **_RANGE)
+            sub.add_argument("--points", type=int, default=sweep_points,
+                             help=f"number of sweep points (default {sweep_points})")
+        for flag, options in flags:
+            sub.add_argument(flag, **options)
+        group = sub.add_argument_group("output")
+        group.add_argument("--output", "-o", metavar="PATH",
+                           help=f"output CSV path (default: {name}.csv)")
+        group.add_argument("--outdir", default=os.environ.get("OMSQUEEZE_OUTDIR", "."),
+                           help="output directory (env OMSQUEEZE_OUTDIR)")
+        group.add_argument("--no-timestamp", action="store_true",
+                           help="omit the generated_at metadata line")
+        group.add_argument("--no-jsonl", action="store_true",
+                           help="skip the JSON-lines mirror file")
+        sub.set_defaults(func=func)
 
-    sub = subs.add_parser("sweep-cooperativity", parents=[logging_flags],
-                          help="momentum variance vs cooperativity")
-    _add_param_flags(sub)
-    _add_sweep_flags(sub, 50)
-    _add_workers_flag(sub)
-    _add_output_flags(sub, "sweep-cooperativity.csv")
-    sub.set_defaults(func=cmd_sweep_cooperativity)
-
-    sub = subs.add_parser("sweep-temperature", parents=[logging_flags],
-                          help="momentum variance vs bath temperature")
-    _add_param_flags(sub)
-    _add_sweep_flags(sub, 21)
-    _add_workers_flag(sub)
-    _add_output_flags(sub, "sweep-temperature.csv")
-    sub.set_defaults(func=cmd_sweep_temperature)
-
-    sub = subs.add_parser("spectrum", parents=[logging_flags],
-                          help="mirror quadrature spectra on a frequency grid")
-    _add_param_flags(sub)
-    sub.add_argument("--omega-range", nargs=2, type=float, default=(-0.5, 0.5),
-                     metavar=("LO", "HI"), help="frequency window, units of kappa")
-    sub.add_argument("--points", type=int, default=401)
-    _add_output_flags(sub, "spectrum.csv")
-    sub.set_defaults(func=cmd_spectrum)
-
-    sub = subs.add_parser("detect", parents=[logging_flags],
-                          help="homodyne output spectrum at one phase")
-    _add_param_flags(sub)
-    sub.add_argument("--phi", type=parse_angle, default=math.pi / 2,
-                     help="homodyne phase (default pi/2)")
-    sub.add_argument("--omega-range", nargs=2, type=float, default=(-0.05, 0.05),
-                     metavar=("LO", "HI"))
-    sub.add_argument("--points", type=int, default=401)
-    _add_output_flags(sub, "detect.csv")
-    sub.set_defaults(func=cmd_detect)
-
-    sub = subs.add_parser("detect-map", parents=[logging_flags],
-                          help="homodyne output spectrum over (omega, phi)")
-    _add_param_flags(sub)
-    sub.add_argument("--omega-range", nargs=2, type=float, default=(-0.05, 0.05),
-                     metavar=("LO", "HI"))
-    sub.add_argument("--points", type=int, default=101, help="omega grid points")
-    sub.add_argument("--phi-range", nargs=2, type=parse_angle, default=(0.0, math.pi),
-                     metavar=("LO", "HI"))
-    sub.add_argument("--phi-points", type=int, default=61)
-    _add_output_flags(sub, "detect-map.csv")
-    sub.set_defaults(func=cmd_detect_map)
-
-    sub = subs.add_parser("cavity-sweep", parents=[logging_flags],
-                          help="empty-cavity phase quadrature variance vs gain")
-    _add_param_flags(sub)
-    _add_sweep_flags(sub, 50)
-    _add_workers_flag(sub)
-    _add_output_flags(sub, "cavity-sweep.csv")
-    sub.set_defaults(func=cmd_cavity_sweep)
-
-    sub = subs.add_parser("stability-map", parents=[logging_flags],
-                          help="stability conditions on a (gain, cooperativity) grid")
-    _add_param_flags(sub)
-    sub.add_argument("--gain-range", nargs=2, type=float, default=(0.0, 1.0),
-                     metavar=("LO", "HI"))
-    sub.add_argument("--gain-points", type=int, default=41)
-    sub.add_argument("--coop-range", nargs=2, type=float, default=(0.0, 1000.0),
-                     metavar=("LO", "HI"))
-    sub.add_argument("--coop-points", type=int, default=41)
-    _add_workers_flag(sub)
-    _add_output_flags(sub, "stability-map.csv")
-    sub.set_defaults(func=cmd_stability_map)
-
-    sub = subs.add_parser("analytic", parents=[logging_flags],
-                          help="closed-form variances beside the full model")
-    _add_param_flags(sub)
-    sub.add_argument("--eta", type=float,
-                     help="feedback gain (default 2C)")
-    _add_output_flags(sub, "analytic.csv")
-    sub.set_defaults(func=cmd_analytic)
-
-    sub = subs.add_parser("oracle", parents=[logging_flags],
-                          help="stochastic-trajectory variance estimate")
-    _add_param_flags(sub)
-    sub.add_argument("--dt", type=float, help="time step, units of 1/kappa")
-    sub.add_argument("--duration", type=float, help="measured stretch, units of 1/kappa")
-    sub.add_argument("--burn-in", dest="burn_in", type=float,
-                     help="discarded transient, units of 1/kappa")
-    sub.add_argument("--trajectories", type=int, default=32)
-    sub.add_argument("--seed", type=int, default=0)
-    _add_output_flags(sub, "oracle.csv")
-    sub.set_defaults(func=cmd_oracle)
-
-    sub = subs.add_parser("validate", parents=[logging_flags],
-                          help="three-way agreement suite (quadrature, Lyapunov, SDE)")
-    sub.add_argument("--seed", type=int, default=7)
-    sub.add_argument("--quad-draws", type=int, default=100)
-    sub.add_argument("--sde-draws", type=int, default=20)
-    _add_workers_flag(sub)
-    _add_output_flags(sub, "validate.csv")
-    sub.set_defaults(func=cmd_validate)
-
+    command("sweep-gain", cmd_sweep_gain, "momentum variance vs parametric gain",
+            _WORKERS, sweep_points=50)
+    command("sweep-cooperativity", cmd_sweep_cooperativity,
+            "momentum variance vs cooperativity", _WORKERS, sweep_points=50)
+    command("sweep-temperature", cmd_sweep_temperature,
+            "momentum variance vs bath temperature", _WORKERS, sweep_points=21)
+    command("spectrum", cmd_spectrum, "mirror quadrature spectra on a frequency grid",
+            ("--omega-range", dict(_RANGE, type=float, default=(-0.5, 0.5),
+                                   help="frequency window, units of kappa")),
+            ("--points", dict(type=int, default=401)))
+    command("detect", cmd_detect, "homodyne output spectrum at one phase",
+            ("--phi", dict(type=parse_angle, default=math.pi / 2,
+                           help="homodyne phase (default pi/2)")),
+            ("--omega-range", dict(_RANGE, type=float, default=(-0.05, 0.05))),
+            ("--points", dict(type=int, default=401)))
+    command("detect-map", cmd_detect_map, "homodyne output spectrum over (omega, phi)",
+            ("--omega-range", dict(_RANGE, type=float, default=(-0.05, 0.05))),
+            ("--points", dict(type=int, default=101, help="omega grid points")),
+            ("--phi-range", dict(_RANGE, type=parse_angle, default=(0.0, math.pi))),
+            ("--phi-points", dict(type=int, default=61)))
+    command("cavity-sweep", cmd_cavity_sweep,
+            "empty-cavity phase quadrature variance vs gain", _WORKERS, sweep_points=50)
+    command("stability-map", cmd_stability_map,
+            "stability conditions on a (gain, cooperativity) grid",
+            ("--gain-range", dict(_RANGE, type=float, default=(0.0, 1.0))),
+            ("--gain-points", dict(type=int, default=41)),
+            ("--coop-range", dict(_RANGE, type=float, default=(0.0, 1000.0))),
+            ("--coop-points", dict(type=int, default=41)),
+            _WORKERS)
+    command("analytic", cmd_analytic, "closed-form variances beside the full model",
+            ("--eta", dict(type=float, help="feedback gain (default 2C)")))
+    command("oracle", cmd_oracle, "stochastic-trajectory variance estimate",
+            ("--dt", dict(type=float, help="time step, units of 1/kappa")),
+            ("--duration", dict(type=float, help="measured stretch, units of 1/kappa")),
+            ("--burn-in", dict(type=float, help="discarded transient, units of 1/kappa")),
+            ("--trajectories", dict(type=int, default=32)),
+            ("--seed", dict(type=int, default=0)))
+    command("validate", cmd_validate,
+            "three-way agreement suite (quadrature, Lyapunov, SDE)",
+            ("--seed", dict(type=int, default=7)),
+            ("--quad-draws", dict(type=int, default=100)),
+            ("--sde-draws", dict(type=int, default=20)),
+            _WORKERS, params=False)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except ConfigError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-
-    level = logging.INFO
-    if getattr(args, "quiet", False):
-        level = logging.WARNING
-    if getattr(args, "verbose", False):
-        level = logging.DEBUG
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
-    _log.setLevel(level)
-
-    try:
+        args = build_parser().parse_args(argv)
+        level = logging.INFO
+        if getattr(args, "quiet", False):
+            level = logging.WARNING
+        if getattr(args, "verbose", False):
+            level = logging.DEBUG
+        logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
+        _log.setLevel(level)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except ModelError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except ValueError as exc:   # ConfigError and argparse's usage errors among them
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -37,7 +37,6 @@ from .errors import ConfigError, NonConvergence, ZeroCoupling
 __all__ = [
     "SystemParams",
     "SteadyState",
-    "RwaReport",
     "thermal_occupation",
     "solve_steady_state",
     "optimal_theta",
@@ -175,45 +174,22 @@ class SteadyState:
     ambiguous: bool = False
 
 
-@dataclass(frozen=True)
-class RwaReport:
-    """Validity flags for the rotating-wave / resolved-sideband treatment.
+def rwa_flags(p: SystemParams, g: complex) -> tuple[str, ...]:
+    """Names of the separation-of-scales conditions of the rotating-wave /
+    resolved-sideband treatment that a solved working point fails.
 
-    True means the corresponding separation of scales holds. These are
-    warnings, never errors: the linear model itself is well defined for
-    any stable parameters.
+    These are warnings, never errors: the linear model itself is well
+    defined for any stable parameters. The resolved-sideband flag uses the
+    fixed factor 10; the remaining "much larger" comparisons use the same
+    factor for uniformity.
     """
-
-    resolved_sideband: bool   # omega_m >= 10 kappa
-    slow_damping: bool        # omega_m >> gamma_m
-    weak_coupling: bool       # omega_m >> |g|
-    weak_gain: bool           # omega_m >> 2G
-
-    def failures(self) -> tuple[str, ...]:
-        out = []
-        if not self.resolved_sideband:
-            out.append("resolved_sideband")
-        if not self.slow_damping:
-            out.append("slow_damping")
-        if not self.weak_coupling:
-            out.append("weak_coupling")
-        if not self.weak_gain:
-            out.append("weak_gain")
-        return tuple(out)
-
-
-def rwa_flags(p: SystemParams, g: complex) -> RwaReport:
-    """Evaluate the separation-of-scales flags for a solved working point.
-
-    The resolved-sideband flag uses the fixed factor 10; the remaining
-    "much larger" comparisons use the same factor for uniformity.
-    """
-    return RwaReport(
-        resolved_sideband=p.omega_m >= 10.0 * p.kappa,
-        slow_damping=p.omega_m >= 10.0 * p.gamma_m,
-        weak_coupling=p.omega_m >= 10.0 * abs(g),
-        weak_gain=p.omega_m >= 10.0 * (2.0 * p.G),
+    holds = (
+        ("resolved_sideband", p.omega_m >= 10.0 * p.kappa),
+        ("slow_damping", p.omega_m >= 10.0 * p.gamma_m),
+        ("weak_coupling", p.omega_m >= 10.0 * abs(g)),
+        ("weak_gain", p.omega_m >= 10.0 * (2.0 * p.G)),
     )
+    return tuple(name for name, ok in holds if not ok)
 
 
 def _epsilon_from_power(p: SystemParams) -> float:

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DivergingTrajectory, UnstableSystem
-from .stability import DriftModel, eigen_stable
+from .stability import MARGINAL_EPS, DriftModel
 
 __all__ = ["SimConfig", "SimEstimate", "simulate", "suggest_config"]
 
@@ -109,13 +109,22 @@ class SimEstimate(NamedTuple):
     stderr_p: float
 
 
-def _rates(M: np.ndarray) -> tuple[float, float]:
-    """(fastest, slowest) rate scales of the drift, for the schedule."""
+def _rates(M: np.ndarray, refusal: str) -> tuple[float, float]:
+    """(fastest, slowest) rate scales of a stable drift, for the schedule.
+
+    Raises UnstableSystem(refusal) unless the slowest rate exceeds
+    MARGINAL_EPS, the rule of ``stability.eigen_stable``, and ValueError
+    for a non-finite drift.
+    """
+    if not np.all(np.isfinite(M)):
+        raise ValueError("drift matrix must be finite")
     lam = np.linalg.eigvals(M)
     # cavity decay sits on the trace even when eigenvalues mix
     kappa_eff = -0.5 * (M[2, 2] + M[3, 3])
     fastest = max(float(np.abs(lam).max()), kappa_eff)
     slowest = float((-lam.real).min())
+    if not slowest > MARGINAL_EPS:
+        raise UnstableSystem(refusal)
     return fastest, slowest
 
 
@@ -126,9 +135,7 @@ def suggest_config(dm: DriftModel, seed: int = 0, n_traj: int = 32) -> SimConfig
     at any dt, and finer steps would only add correlated samples. Each
     batch spans six relaxation times, keeping batch means near-independent.
     """
-    if not eigen_stable(dm.M):
-        raise UnstableSystem("cannot schedule an unstable model")
-    slowest = _rates(dm.M)[1]
+    slowest = _rates(dm.M, "cannot schedule an unstable model")[1]
     return SimConfig(
         dt=float(0.5 / slowest),
         duration=float(_N_BATCHES * _BATCH_TIME / slowest),
@@ -155,7 +162,7 @@ def _expm(X: np.ndarray) -> np.ndarray:
 def _step_maps(M: np.ndarray, D: np.ndarray, dt: float,
                fastest: float) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) of the exact step f <- A f + B xi, with B B^T = Q; ``fastest``
-    is the first of ``_rates(M)``.
+    is the first rate ``_rates`` returns.
 
     Van Loan: exp([[-M, D], [0, M^T]] h) = [[., F12], [0, F22]] gives
     A = F22^T and Q = A F12 over a step h. That block holds exp(-M h), and
@@ -192,9 +199,7 @@ def simulate(dm: DriftModel, cfg: SimConfig) -> SimEstimate:
     stationary state.
     """
     M, D = dm.M, dm.D
-    if not eigen_stable(M):
-        raise UnstableSystem("no stationary state to sample")
-    fastest, slowest = _rates(M)
+    fastest, slowest = _rates(M, "no stationary state to sample")
     burn_floor = _BURN_FACTOR / slowest
     if cfg.burn_in < burn_floor * (1.0 - 1e-12):
         raise ConfigError(f"burn_in={cfg.burn_in} below relaxation floor {burn_floor:.3e}")

@@ -29,6 +29,24 @@ QUICK_FLAGS = ["--gamma-m", "0.2", "--cooperativity", "10",
                "--gain", "0.2", "--theta", "0.3"]
 
 
+SUBCOMMANDS = sorted(next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices)
+# every subcommand at small counts
+SMALL_RUNS = {
+    "sweep-gain": ["--config", "fig3", "--points", "2"],
+    "sweep-cooperativity": ["--config", "fig4", "--points", "2"],
+    "sweep-temperature": ["--config", "fig6", "--points", "2"],
+    "cavity-sweep": ["--config", "fig9", "--points", "2"],
+    "spectrum": ["--config", "fig3", "--points", "3"],
+    "detect": ["--config", "fig8", "--points", "3"],
+    "detect-map": ["--config", "fig7", "--points", "3", "--phi-points", "2"],
+    "stability-map": ["--config", "fig3", "--gain-points", "2", "--coop-points", "2"],
+    "analytic": ["--config", "fig3"],
+    "oracle": [*QUICK_FLAGS, "--trajectories", "2"],
+    "validate": ["--quad-draws", "1", "--sde-draws", "1"],
+}
+
+
 def run(tmp_path, *argv, name="out.csv"):
     path = tmp_path / name
     code = main([*argv, "-o", str(path), "--no-timestamp"])
@@ -341,6 +359,37 @@ class TestOutputContract:
         assert code == 0
         assert (tmp_path / "sweep-gain.csv").is_file()
 
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_default_output_is_named_by_the_command(self, tmp_path, command):
+        code = main([command, *SMALL_RUNS[command], "--outdir", str(tmp_path),
+                     "--no-timestamp", "--quiet"])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{command}.csv",
+                                                              f"{command}.jsonl"]
+
+    def test_output_that_is_its_own_mirror_is_refused(self, tmp_path, capsys):
+        # the mirror of x.jsonl would be x.jsonl itself, overwriting the table
+        path = tmp_path / "x.jsonl"
+        assert main(["analytic", "--config", "fig3", "-o", str(path)]) == 1
+        assert f"usage error: output path {path} is its own JSON-lines mirror" \
+            in capsys.readouterr().err
+        assert not path.exists()
+        assert main(["analytic", "--config", "fig3", "-o", str(path), "--no-jsonl"]) == 0
+        assert read_table(path)[1][0]["G0"] == "0.98"
+
+    def test_failed_mirror_open_writes_no_table(self, tmp_path, capsys):
+        # a directory where the mirror goes: neither file is written, and a
+        # table left by an earlier run stays as it was
+        (tmp_path / "x.jsonl").mkdir()
+        path = tmp_path / "x.csv"
+        for before in (None, "earlier table\n"):
+            if before is not None:
+                path.write_text(before)
+            assert main(["analytic", "--config", "fig3", "-o", str(path)]) == 1
+            assert f"usage error: cannot write output file {tmp_path / 'x.jsonl'}" \
+                in capsys.readouterr().err
+            assert (path.read_text() if path.exists() else None) == before
+
     def test_workers_flag_is_accepted_and_ignored(self, tmp_path):
         # kept so that old command lines still parse; it changes nothing
         _, plain = run(tmp_path, "sweep-gain", *OPT_FLAGS, "--points", "3",
@@ -541,8 +590,7 @@ class TestFiniteGate:
     def test_non_finite_value_refused_before_writing(self, tmp_path, rows,
                                                      meta, key):
         args = argparse.Namespace(command_name="t", no_timestamp=True, no_jsonl=False,
-                                  output=None, outdir=str(tmp_path),
-                                  default_output="t.csv")
+                                  output=None, outdir=str(tmp_path))
         with pytest.raises(ModelError, match=f"non-finite result: {key} = "):
             _write_table(args, ["a", "b"], rows, meta)
         assert not any(tmp_path.iterdir())
@@ -646,6 +694,13 @@ COMMAND_FLAGS = {
                       [range_flag("--gain-range", 0.0, 1.0),
                        range_flag("--coop-range", 0.0, 1000.0)]),
     "oracle": ([ORACLE_SCHEDULE], [count_flag("--trajectories", 1, 3), SEED_FLAG]),
+    "detect-map": ([count_flag("--points", 1, 5), count_flag("--phi-points", 1, 3)],
+                   [range_flag("--omega-range", -0.1, 0.1),
+                    range_flag("--phi-range", 0.0, 3.2)]),
+    "sweep-cooperativity": ([count_flag("--points", 2, 4)],
+                            [range_flag("--range", 0.0, 1000.0)]),
+    "sweep-temperature": ([count_flag("--points", 2, 4)],
+                          [range_flag("--range", 0.0, 0.05)]),
     "validate": ([count_flag("--quad-draws", 1, 2), count_flag("--sde-draws", 1, 2)],
                  [SEED_FLAG]),
 }
@@ -676,6 +731,11 @@ def config_text(edits) -> str:
         else:
             extra.append(f"{'nonsense' if action == 'unknown' else key} = {value}")
     return "\n".join([f"{k} = {v}" for k, v in lines.items()] + extra) + "\n"
+
+
+def test_every_subcommand_is_under_the_property():
+    # a new command cannot escape the exit contract
+    assert set(COMMAND_FLAGS) == set(SUBCOMMANDS)
 
 
 def _numbers_in(path: Path) -> list:

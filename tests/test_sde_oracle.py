@@ -175,7 +175,7 @@ class TestStepMaps:
         worst = 0.0
         for dm, dt, _ in _van_loan_blocks(50):
             V = steady_covariance(dm).V
-            A, B = _step_maps(dm.M, dm.D, dt, _rates(dm.M)[0])
+            A, B = _step_maps(dm.M, dm.D, dt, _rates(dm.M, "unstable")[0])
             worst = max(worst, np.abs(A @ V @ A.T + B @ B.T - V).max()
                         / np.abs(V).max())
         assert worst <= 1e-12
@@ -190,7 +190,7 @@ class TestStepMaps:
         worst = 0.0
         for scaled in (0.25, 1.0, 20.0, 40.0, 80.0, 160.0, 1e3, 1e4):
             for dm in models:
-                fastest = _rates(dm.M)[0]
+                fastest = _rates(dm.M, "unstable")[0]
                 A, B = _step_maps(dm.M, dm.D, scaled / fastest, fastest)
                 V = steady_covariance(dm).V
                 Q = V - A @ V @ A.T
@@ -202,7 +202,7 @@ class TestStepMaps:
         M = np.diag([-1.0, -2.0, -0.5, -0.5])
         M[0, 1] = 0.7
         D = np.diag([0.0, 2.0, 0.0, 0.0])
-        A, B = _step_maps(M, D, 0.3, _rates(M)[0])
+        A, B = _step_maps(M, D, 0.3, _rates(M, "unstable")[0])
         assert np.all(np.isfinite(B))
         V = scipy.linalg.solve_continuous_lyapunov(M, -D)
         assert np.allclose(A @ V @ A.T + B @ B.T, V, rtol=0, atol=1e-14)
@@ -238,6 +238,28 @@ class TestGuards:
         D[1, 1] = -D[1, 1]
         with pytest.raises(ValueError, match="positive semidefinite"):
             simulate(DriftModel(M=dm.M, D=D), suggest_config(dm, n_traj=2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_drift_rejected(self, quick_model, quick_config, bad):
+        M = quick_model.M.copy()
+        M[0, 0] = bad
+        dm = DriftModel(M=M, D=quick_model.D)
+        with pytest.raises(ValueError, match="drift matrix must be finite"):
+            suggest_config(dm)
+        with pytest.raises(ValueError, match="drift matrix must be finite"):
+            simulate(dm, quick_config)
+
+    def test_one_eigendecomposition_per_call(self, quick_model, quick_config,
+                                             monkeypatch):
+        # stability and the rate scales come from the same eigenvalues
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda M: calls.append(M) or eigvals(M))
+        suggest_config(quick_model)
+        assert len(calls) == 1
+        simulate(quick_model, quick_config)
+        assert len(calls) == 2
 
     def test_divergence_detected(self):
         # stable eigenvalues but a huge non-normal transient: the schedule
