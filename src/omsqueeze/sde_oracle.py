@@ -7,19 +7,19 @@ step map is exact: over one step dt,
 
     f <- A f + B xi,   A = exp(M dt),   B B^T = Q = int_0^dt e^{Ms} D e^{M^T s} ds,
 
-with xi standard normal. ``A`` and ``Q`` come from one 8x8 block
-exponential (Van Loan, IEEE TAC 23:395, 1978) over a step no longer than
-the fastest time scale, doubled up to dt where dt is longer, so the chain
-has no discretization bias at any step size. Trajectories start from zero
-and discard a burn-in, so the stationary state is reached by the
-dynamics, never taken from the Lyapunov solution.
+with xi standard normal. ``A`` and ``Q`` come from one block exponential
+(Van Loan, IEEE TAC 23:395, 1978) over a sub-step dt / 2^k, the longest
+whose product with the block's one-norm is at most 1/2, doubled k times
+up to dt, so the chain has no discretization bias at any step size.
+Trajectories start from zero and discard a burn-in, so the stationary
+state is reached by the dynamics, never taken from the Lyapunov solution.
 
 Because the map is exact, the suggested step follows the slowest rate,
 dt = 1/(2 slowest): resolving the fast modes would only add correlated
 samples. The burn-in is 12 and each of the 32 batches 6 slowest
 relaxation times, so every suggested run is 24 + 384 = 408 steps at any
 stiffness. An explicit finer dt costs its step count: the chain takes one
-4x4 product per step.
+product of drift-sized matrices per step.
 
 Estimates pool squared samples over an ensemble of independent
 trajectories and over post-burn-in time; standard errors come from batch
@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DivergingTrajectory, UnstableSystem
-from .stability import MARGINAL_EPS, DriftModel
+from .stability import MARGINAL_EPS, DriftModel, _decay_rate
 
 __all__ = ["SimConfig", "SimEstimate", "simulate", "suggest_config"]
 
@@ -54,6 +54,9 @@ _TAYLOR_TERMS = 18           # exact to rounding once the norm is <= 1/2
 # trajectory steps (burn-in plus measured) a schedule may ask for; far above
 # every schedule suggest_config picks, far below a run that never ends
 _MAX_STEPS = 1e9
+# trajectory-steps one noise segment holds: its noise and its path take 8
+# bytes each per trajectory, step and mode, so 256 MiB per mode of the drift
+_MAX_SEGMENT_SAMPLES = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,8 @@ class SimConfig:
     """Sampling schedule, in units of 1/kappa.
 
     ``duration`` is the measured stretch after ``burn_in`` is discarded.
-    A schedule of more than 1e9 steps is refused.
+    A schedule of more than 1e9 steps, or of more than 2^24
+    trajectory-steps in one noise segment, is refused.
     """
     dt: float
     duration: float
@@ -85,6 +89,10 @@ class SimConfig:
             raise ConfigError(
                 f"schedule needs {steps:.3g} steps, more than the cap of {_MAX_STEPS:.0e}"
             )
+        segment = self.n_traj * min(sum(self.steps()), _MAX_SEGMENT)
+        if segment > _MAX_SEGMENT_SAMPLES:
+            raise ConfigError(f"{self.n_traj} trajectories need {segment} trajectory-steps "
+                              f"per noise segment, more than the cap of {_MAX_SEGMENT_SAMPLES}")
 
     def steps(self) -> tuple[int, int]:
         """(burn-in, measured) step counts; the measured count is rounded
@@ -109,23 +117,12 @@ class SimEstimate(NamedTuple):
     stderr_p: float
 
 
-def _rates(M: np.ndarray, refusal: str) -> tuple[float, float]:
-    """(fastest, slowest) rate scales of a stable drift, for the schedule.
-
-    Raises UnstableSystem(refusal) unless the slowest rate exceeds
-    MARGINAL_EPS, the rule of ``stability.eigen_stable``, and ValueError
-    for a non-finite drift.
-    """
-    if not np.all(np.isfinite(M)):
-        raise ValueError("drift matrix must be finite")
-    lam = np.linalg.eigvals(M)
-    # cavity decay sits on the trace even when eigenvalues mix
-    kappa_eff = -0.5 * (M[2, 2] + M[3, 3])
-    fastest = max(float(np.abs(lam).max()), kappa_eff)
-    slowest = float((-lam.real).min())
+def _slowest(M: np.ndarray, refusal: str) -> float:
+    """Slowest decay rate of M; UnstableSystem(refusal) unless stable as in eigen_stable."""
+    slowest = _decay_rate(M)
     if not slowest > MARGINAL_EPS:
         raise UnstableSystem(refusal)
-    return fastest, slowest
+    return slowest
 
 
 def suggest_config(dm: DriftModel, seed: int = 0, n_traj: int = 32) -> SimConfig:
@@ -135,7 +132,7 @@ def suggest_config(dm: DriftModel, seed: int = 0, n_traj: int = 32) -> SimConfig
     at any dt, and finer steps would only add correlated samples. Each
     batch spans six relaxation times, keeping batch means near-independent.
     """
-    slowest = _rates(dm.M, "cannot schedule an unstable model")[1]
+    slowest = _slowest(dm.M, "cannot schedule an unstable model")
     return SimConfig(
         dt=float(0.5 / slowest),
         duration=float(_N_BATCHES * _BATCH_TIME / slowest),
@@ -146,40 +143,28 @@ def suggest_config(dm: DriftModel, seed: int = 0, n_traj: int = 32) -> SimConfig
 
 
 def _expm(X: np.ndarray) -> np.ndarray:
-    """Matrix exponential: scaling and squaring of a Taylor polynomial."""
-    norm = float(np.abs(X).sum(axis=1).max())
-    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.0 else 0
-    X = X / 2.0 ** squarings
+    """Taylor polynomial of exp(X), exact to rounding for norm(X) <= 1/2."""
     term = out = np.eye(X.shape[0])
     for k in range(1, _TAYLOR_TERMS + 1):
         term = term @ X / k
         out = out + term
-    for _ in range(squarings):
-        out = out @ out
     return out
 
 
-def _step_maps(M: np.ndarray, D: np.ndarray, dt: float,
-               fastest: float) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) of the exact step f <- A f + B xi, with B B^T = Q; ``fastest``
-    is the first rate ``_rates`` returns.
+def _step_maps(M: np.ndarray, D: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of the exact step f <- A f + B xi, with B B^T = Q.
 
     Van Loan: exp([[-M, D], [0, M^T]] h) = [[., F12], [0, F22]] gives
-    A = F22^T and Q = A F12 over a step h. That block holds exp(-M h), and
-    Q comes out of a cancellation against it, so h is kept at or below
-    1/fastest: for dt * fastest > 1, h = dt / 2^k with
-    k = ceil(log2(dt * fastest)), and k doublings Q <- Q + A Q A^T,
-    A <- A^2 (each term positive semidefinite) reach dt. Q may be singular
-    (zeros on the diagonal of D), so B comes from its eigendecomposition
-    with rounding-level negative eigenvalues clipped to zero.
+    A = F22^T and Q = A F12. That block holds exp(-M h) and Q comes out of
+    a cancellation against it, so h = dt / 2^k with h ||block||_1 <= 1/2,
+    and k doublings Q <- Q + A Q A^T, A <- A^2 (each term PSD) reach dt.
+    Q may be singular (zeros on the diagonal of D): B comes from its
+    eigendecomposition with rounding-level negative eigenvalues clipped.
     """
     n = M.shape[0]
-    scaled = dt * fastest
-    doublings = math.ceil(math.log2(scaled)) if scaled > 1.0 else 0
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = -M
-    block[:n, n:] = D
-    block[n:, n:] = M.T
+    block = np.block([[-M, D], [np.zeros_like(M), M.T]])
+    scaled = dt * float(np.linalg.norm(block, 1))
+    doublings = math.ceil(math.log2(2.0 * scaled)) if scaled > 0.5 else 0
     F = _expm(block * (dt / 2.0 ** doublings))
     A = F[n:, n:].T
     Q = A @ F[:n, n:]
@@ -191,7 +176,8 @@ def _step_maps(M: np.ndarray, D: np.ndarray, dt: float,
 
 
 def simulate(dm: DriftModel, cfg: SimConfig) -> SimEstimate:
-    """Estimate stationary Q and P variances by trajectory sampling.
+    """Estimate the stationary variances of rows 0 and 1 (Q and P) by
+    trajectory sampling.
 
     D may be any symmetric positive-semidefinite matrix; anything else
     raises ValueError. Raises DivergingTrajectory when any component
@@ -199,7 +185,7 @@ def simulate(dm: DriftModel, cfg: SimConfig) -> SimEstimate:
     stationary state.
     """
     M, D = dm.M, dm.D
-    fastest, slowest = _rates(M, "no stationary state to sample")
+    slowest = _slowest(M, "no stationary state to sample")
     burn_floor = _BURN_FACTOR / slowest
     if cfg.burn_in < burn_floor * (1.0 - 1e-12):
         raise ConfigError(f"burn_in={cfg.burn_in} below relaxation floor {burn_floor:.3e}")
@@ -210,14 +196,14 @@ def simulate(dm: DriftModel, cfg: SimConfig) -> SimEstimate:
     if np.linalg.eigvalsh(D)[0] < -scale:
         raise ValueError("diffusion matrix must be positive semidefinite")
 
-    A, B = _step_maps(M, D, cfg.dt, fastest)
+    A, B = _step_maps(M, D, cfg.dt)
 
     n_burn, n_meas = cfg.steps()
     batch_len = n_meas // _N_BATCHES
 
     rng_children = np.random.SeedSequence(cfg.seed).spawn(cfg.n_traj)
     gens = [np.random.Generator(np.random.PCG64(c)) for c in rng_children]
-    state = np.zeros((cfg.n_traj, 4))
+    state = np.zeros((cfg.n_traj, len(M)))
 
     def advance(n_steps: int) -> np.ndarray:
         """Squared Q and P summed over the next n_steps of every trajectory."""
@@ -225,10 +211,10 @@ def simulate(dm: DriftModel, cfg: SimConfig) -> SimEstimate:
         sq_sum = np.zeros(2)
         for start in range(0, n_steps, _MAX_SEGMENT):
             chunk = min(_MAX_SEGMENT, n_steps - start)
-            xi = np.empty((cfg.n_traj, chunk, 4))
+            xi = np.empty((cfg.n_traj, chunk, len(M)))
             for i, gen in enumerate(gens):
                 gen.standard_normal(out=xi[i])
-            # (steps, trajectories, 4): B xi of each step, overwritten in
+            # (steps, trajectories, modes): B xi of each step, overwritten in
             # place by that step's state f <- A f + B xi
             path = xi.transpose(1, 0, 2) @ B.T
             for row in path:

@@ -13,8 +13,8 @@ three explicit inequalities in (kappa, gamma_m, G, |g|), which are exactly
 the nontrivial first-column entries of the Routh table of the quartic
 characteristic polynomial, and decides on the slowest decay rate of that
 quartic, which factors into two closed-form quadratics. ``eigen_stable``
-checks the eigenvalue real parts of the drift matrix directly. Neither
-involves the parametric phase theta.
+checks the eigenvalues of a drift of any size by ``_decay_rate``, the rule
+the sampler shares. Neither involves the parametric phase theta.
 """
 from __future__ import annotations
 
@@ -36,14 +36,18 @@ MARGINAL_EPS = 1e-12
 
 @dataclass(frozen=True)
 class DriftModel:
-    """Drift matrix M and diffusion matrix D of df = M f dt + noise."""
+    """Drift M (square) and finite diffusion D (same size) of df = M f dt + noise."""
 
     M: np.ndarray
     D: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.M.shape != (4, 4) or self.D.shape != (4, 4):
-            raise ValueError("drift and diffusion must be 4x4")
+        n = len(self.M)
+        # both routes report rows 0 and 1, the mirror Q and P
+        if n < 2 or self.M.shape != (n, n) or self.D.shape != (n, n):
+            raise ValueError("drift and diffusion must be square, of one size, 2x2 or more")
+        if not np.all(np.isfinite(self.D)):
+            raise ValueError("diffusion matrix must be finite")
 
 
 @dataclass(frozen=True)
@@ -126,13 +130,19 @@ def routh_hurwitz(p: SystemParams, ss: SteadyState) -> StabilityReport:
                            poles=poles)
 
 
+def _decay_rate(M: np.ndarray) -> float:
+    """Slowest decay rate -max Re(lambda) of M, from one ``eigvals``; M is
+    stable when it exceeds MARGINAL_EPS. ValueError for a non-finite M."""
+    M = np.asarray(M, dtype=float)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("drift matrix must be finite")
+    return float(-np.linalg.eigvals(M).real.max())
+
+
 def eigen_stable(M: np.ndarray) -> bool:
     """True iff every eigenvalue of M has real part < -MARGINAL_EPS.
 
     Marginal spectra (max real part within MARGINAL_EPS of zero) count as
     unstable, matching the routh_hurwitz convention.
     """
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("drift matrix must be finite")
-    return bool(np.max(np.linalg.eigvals(M).real) < -MARGINAL_EPS)
+    return _decay_rate(M) > MARGINAL_EPS

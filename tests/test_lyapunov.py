@@ -75,40 +75,29 @@ class TestSolverProperties:
             assert cov.residual < 1e-10
 
     def test_one_system_solved_and_refined(self, opt_params, opt_state, monkeypatch):
-        # the reduced system and one refinement step against its residual
+        # the 16x16 Kronecker system and one refinement step against its
+        # residual
         calls = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve",
                             lambda a, b: calls.append(a) or solve(a, b))
         steady_covariance(build_drift(opt_state, opt_params))
-        assert [a.shape for a in calls] == [(10, 10), (10, 10)]
+        assert [a.shape for a in calls] == [(16, 16), (16, 16)]
         assert calls[0] is calls[1]
 
-    def test_assembly_equals_the_pair_loop(self):
-        # reference: the reduced system filled entry by entry, pair by pair
-        pairs = lyapunov._PAIRS
-        col = {pair: n for n, pair in enumerate(pairs)}
-
-        def loop_system(M, D):
-            A = np.zeros((10, 10))
-            b = np.zeros(10)
-            for row, (i, j) in enumerate(pairs):
-                for k in range(4):
-                    A[row, col[(k, j) if k <= j else (j, k)]] += M[i, k]
-                    A[row, col[(i, k) if i <= k else (k, i)]] += M[j, k]
-                b[row] = -D[i, j]
-            return A, b
-
+    def test_kronecker_sum_equals_np_kron(self):
+        # reference: M x I + I x M from np.kron, bit for bit
         rng = np.random.default_rng(14)
+        eye = np.eye(4)
         for _ in range(300):
             p = draw_stable_params(rng)
             dm = build_drift(solve_steady_state(p), p)
             # a dense perturbation fills every entry the drift leaves zero
             M = dm.M + rng.uniform() * rng.normal(size=(4, 4))
-            for got, want in zip(lyapunov._reduced_system(M, dm.D),
-                                 loop_system(M, dm.D)):
-                np.testing.assert_array_equal(got, want)
-                assert (np.signbit(got) == np.signbit(want)).all()
+            got = lyapunov._kronecker_sum(M)
+            want = np.kron(M, eye) + np.kron(eye, M)
+            np.testing.assert_array_equal(got, want)
+            assert (np.signbit(got) == np.signbit(want)).all()
 
     def test_positive_definite(self):
         rng = np.random.default_rng(13)
@@ -125,7 +114,28 @@ class TestGuards:
         with pytest.raises(UnstableSystem):
             steady_covariance(dm)
 
+    def test_one_eigendecomposition_per_call(self, opt_params, opt_state,
+                                             monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda M: calls.append(M) or eigvals(M))
+        steady_covariance(build_drift(opt_state, opt_params))
+        assert len(calls) == 1
+
     def test_marginal_drift_rejected(self):
         dm = DriftModel(M=np.diag([-1e-13, -1.0, -1.0, -1.0]), D=np.eye(4))
         with pytest.raises(UnstableSystem):
             steady_covariance(dm)
+
+
+class TestOtherSizes:
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_agrees_with_scipy(self, n):
+        # the Kronecker solve takes any drift size
+        M = np.diag(-np.linspace(0.5, 2.0, n))
+        M[0, 1] = 0.7
+        D = np.diag(np.linspace(1.0, 2.0, n))
+        cov = steady_covariance(DriftModel(M=M, D=D))
+        ref = scipy.linalg.solve_continuous_lyapunov(M, -D)
+        np.testing.assert_allclose(cov.V, ref, rtol=1e-12, atol=0)

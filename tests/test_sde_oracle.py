@@ -19,7 +19,7 @@ from omsqueeze import (
     steady_covariance,
     suggest_config,
 )
-from omsqueeze.sde_oracle import _expm, _rates, _step_maps
+from omsqueeze.sde_oracle import _step_maps
 
 from conftest import draw_stable_params
 
@@ -70,6 +70,16 @@ class TestSimConfig:
             SimConfig(dt=1e-3, duration=6e5, burn_in=6e5)
         with pytest.raises(ConfigError, match="steps"):
             SimConfig(dt=1e-300, duration=1.0, burn_in=1000.0)
+
+    def test_trajectory_cap(self):
+        # one noise segment holds n_traj x min(steps, 4096) trajectory-steps,
+        # at most 2^24; constructing a schedule allocates nothing
+        SimConfig(dt=1.0, duration=4096.0, burn_in=0.0, n_traj=4096)
+        SimConfig(dt=1.0, duration=32.0, burn_in=0.0, n_traj=2 ** 19)
+        with pytest.raises(ConfigError, match="4097 trajectories"):
+            SimConfig(dt=1.0, duration=4096.0, burn_in=0.0, n_traj=4097)
+        with pytest.raises(ConfigError, match="trajectories"):
+            SimConfig(dt=1.0, duration=131072.0, burn_in=1000.0, n_traj=100000)
 
     def test_burn_in_floor(self, quick_model):
         slowest = float((-np.linalg.eigvals(quick_model.M).real).min())
@@ -141,41 +151,40 @@ class TestStatistics:
         assert abs(est.var_p - cov.var_p) / est.stderr_p < 3.0
 
 
-def _van_loan_blocks(n_draws: int):
-    """(drift model, dt, block) over random stable draws and three steps
-    per draw, from a quarter of the fastest time scale to four of it."""
+def _fastest(M: np.ndarray) -> float:
+    """The fastest rate scale of a paper drift: the largest |eigenvalue|,
+    or the cavity decay on the trace where that is larger."""
+    return max(float(np.abs(np.linalg.eigvals(M)).max()),
+               -0.5 * (M[2, 2] + M[3, 3]))
+
+
+def _stepped_draws(n_draws: int):
+    """(drift model, dt) over random stable draws and three steps per
+    draw, from a quarter of the fastest time scale to four of it."""
     rng = np.random.default_rng(0)
     for _ in range(n_draws):
         p = draw_stable_params(rng)
         dm = build_drift(solve_steady_state(p), p)
-        M = dm.M
-        fastest = max(float(np.abs(np.linalg.eigvals(M)).max()),
-                      -0.5 * (M[2, 2] + M[3, 3]))
+        fastest = _fastest(dm.M)
         for k in (0.25, 1.0, 4.0):
-            dt = k / fastest
-            block = np.zeros((8, 8))
-            block[:4, :4], block[:4, 4:], block[4:, 4:] = -M, dm.D, M.T
-            yield dm, dt, block * dt
+            yield dm, k / fastest
 
 
 class TestStepMaps:
     def test_exponential_matches_scipy(self):
-        # scipy's own error on these blocks reaches about 5e-13 against a
-        # 40-digit reference; the Taylor exponential stays near 1e-14
-        for _, _, block in _van_loan_blocks(50):
-            ref = scipy.linalg.expm(block)
-            err = np.abs(_expm(block) - ref).max() / np.abs(ref).max()
-            assert err <= 1e-12
-        for X in (np.zeros((3, 3)), np.diag([-30.0, 0.1, 2.0])):
-            assert np.allclose(_expm(X), scipy.linalg.expm(X), rtol=1e-12, atol=0)
+        # the drift's step map against scipy's scaling and squaring
+        for dm, dt in _stepped_draws(50):
+            ref = scipy.linalg.expm(dm.M * dt)
+            A, _ = _step_maps(dm.M, dm.D, dt)
+            assert np.abs(A - ref).max() / np.abs(ref).max() <= 1e-12
 
     def test_stationary_covariance_is_a_fixed_point(self):
         # the exact chain leaves the continuous stationary covariance
         # unchanged; V enters only here, never the sampler
         worst = 0.0
-        for dm, dt, _ in _van_loan_blocks(50):
+        for dm, dt in _stepped_draws(50):
             V = steady_covariance(dm).V
-            A, B = _step_maps(dm.M, dm.D, dt, _rates(dm.M, "unstable")[0])
+            A, B = _step_maps(dm.M, dm.D, dt)
             worst = max(worst, np.abs(A @ V @ A.T + B @ B.T - V).max()
                         / np.abs(V).max())
         assert worst <= 1e-12
@@ -190,8 +199,7 @@ class TestStepMaps:
         worst = 0.0
         for scaled in (0.25, 1.0, 20.0, 40.0, 80.0, 160.0, 1e3, 1e4):
             for dm in models:
-                fastest = _rates(dm.M, "unstable")[0]
-                A, B = _step_maps(dm.M, dm.D, scaled / fastest, fastest)
+                A, B = _step_maps(dm.M, dm.D, scaled / _fastest(dm.M))
                 V = steady_covariance(dm).V
                 Q = V - A @ V @ A.T
                 worst = max(worst, np.abs(B @ B.T - Q).max() / np.abs(Q).max())
@@ -202,7 +210,7 @@ class TestStepMaps:
         M = np.diag([-1.0, -2.0, -0.5, -0.5])
         M[0, 1] = 0.7
         D = np.diag([0.0, 2.0, 0.0, 0.0])
-        A, B = _step_maps(M, D, 0.3, _rates(M, "unstable")[0])
+        A, B = _step_maps(M, D, 0.3)
         assert np.all(np.isfinite(B))
         V = scipy.linalg.solve_continuous_lyapunov(M, -D)
         assert np.allclose(A @ V @ A.T + B @ B.T, V, rtol=0, atol=1e-14)
@@ -249,6 +257,16 @@ class TestGuards:
         with pytest.raises(ValueError, match="drift matrix must be finite"):
             simulate(dm, quick_config)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_diffusion_rejected(self, quick_model, quick_config, bad):
+        # refused by name when the model is built, before either route runs
+        D = quick_model.D.copy()
+        D[1, 1] = bad
+        with pytest.raises(ValueError, match="diffusion matrix must be finite"):
+            steady_covariance(DriftModel(M=quick_model.M, D=D))
+        with pytest.raises(ValueError, match="diffusion matrix must be finite"):
+            simulate(DriftModel(M=quick_model.M, D=D), quick_config)
+
     def test_one_eigendecomposition_per_call(self, quick_model, quick_config,
                                              monkeypatch):
         # stability and the rate scales come from the same eigenvalues
@@ -272,3 +290,16 @@ class TestGuards:
                         seed=0)
         with pytest.raises(DivergingTrajectory):
             simulate(dm, cfg)
+
+
+class TestOtherSizes:
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_matches_lyapunov(self, n):
+        # the sampler takes its state and noise size from the drift
+        M = np.diag(-np.linspace(0.5, 2.0, n))
+        M[0, 1] = 0.7
+        dm = DriftModel(M=M, D=np.diag(np.linspace(1.0, 2.0, n)))
+        est = simulate(dm, suggest_config(dm, seed=0, n_traj=16))
+        V = scipy.linalg.solve_continuous_lyapunov(M, -dm.D)
+        assert abs(est.var_q - V[0, 0]) / est.stderr_q < 3.0
+        assert abs(est.var_p - V[1, 1]) / est.stderr_p < 3.0

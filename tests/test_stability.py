@@ -63,6 +63,10 @@ class TestBuildDrift:
         from omsqueeze import DriftModel
         with pytest.raises(ValueError):
             DriftModel(M=np.zeros((3, 3)), D=np.zeros((4, 4)))
+        # any square size from 2x2 on: rows 0 and 1 are the reported Q and P
+        for M in (np.zeros((1, 1)), np.zeros((2, 3))):
+            with pytest.raises(ValueError, match="square"):
+                DriftModel(M=M, D=M)
 
 
 class TestThetaIndependence:
