@@ -45,11 +45,6 @@ __all__ = [
     "squeezing_db",
 ]
 
-# slowest decay rate below this (units of kappa) puts a pole too near the
-# axis for the variance integral to converge reliably
-_MARGINAL_GUARD = 1e-9
-
-
 @dataclass(frozen=True)
 class SpectrumSample:
     """Symmetrized spectra on a frequency grid."""
@@ -131,15 +126,13 @@ def quadrature_variances(ss: SteadyState, p: SystemParams) -> VariancePair:
     """Stationary quadrature variances by integrating the spectra.
 
     S_Q and S_P are integrated together in one adaptive pass, on a mesh
-    graded at every drift pole. Raises UnstableSystem when the operating
-    point is unstable or close enough to marginal that the integral cannot
-    converge.
+    graded at every drift pole. Raises UnstableSystem exactly when
+    ``routh_hurwitz`` calls the point unstable, and QuadratureFailure when
+    the integral misses its error budget within the panel cap.
     """
     report = routh_hurwitz(p, ss)
     if not report.stable:
         raise UnstableSystem("no stationary state: stability conditions violated")
-    if report.decay_rate < _MARGINAL_GUARD * p.kappa:
-        raise UnstableSystem("operating point too close to marginal stability")
 
     def f(om: np.ndarray) -> np.ndarray:
         s = spectrum(om, ss, p)

@@ -16,14 +16,14 @@ optical-input coefficients of the mirror quadratures with a -sqrt(gamma_m)
 prefactor. That structure is kept exactly as derived; it reproduces the
 reference band half-width below, so it is cross-checked, not assumed.
 
-The band search is a scalar bisection evaluated in batches. The outward
-march from 1e-3 kappa, doubling up to 10 kappa, is one spectrum call;
-each further call evaluates the 63 midpoints that the next six bisection
-steps could visit, every one as 0.5 * (lo + hi) of its own interval, and
-the search then walks the path the sub-vacuum tests choose. The walk
-compares the same values at the same floats as one call per step would,
-so the edges equal the scalar bisection's bit for bit; a search takes
-about five spectrum calls where one call per step took up to thirty. The
+The band search is a scalar bisection to 1e-5 kappa, evaluated in
+batches. The outward march from 1e-3 kappa, doubling up to 10 kappa, is
+one spectrum call; each further call evaluates the 63 interior points of
+the bracket's nested midpoint grid, each 0.5 * (a + b) of its neighbours
+one level up: the floats the next six steps could visit. Bisecting on
+grid indices then compares the same values at the same floats as one call
+per step would, so the edges equal the scalar bisection's bit for bit, in
+about five spectrum calls where one per step took up to thirty. The
 minimum is then read on [0, edge], so it is reported at omega >= 0.
 """
 from __future__ import annotations
@@ -101,33 +101,25 @@ def spectrum_zout(omega, phi: float, ss: SteadyState, p: SystemParams):
     return _zout(om.ravel(), np.array([phi], dtype=float), ss, p).reshape(om.shape)
 
 
-def _bisect(s, lo: float, hi: float) -> float:
-    """Vacuum crossing in (lo, hi) by bisection to ``_EDGE_TOL``.
-
-    Each call of ``s`` evaluates, in heap order, every midpoint the next
-    ``_LEVELS`` steps could visit, each as 0.5 * (lo + hi) of its own
-    interval; walking the path then takes the same steps, on the same
-    floats, as one evaluation per step would.
-    """
-    while hi - lo > _EDGE_TOL:
-        mids, los, his = [], [lo], [hi]
-        for _ in range(_LEVELS):
-            next_los, next_his = [], []
-            for a, b in zip(los, his):
-                m = 0.5 * (a + b)
-                mids.append(m)
-                next_los += [a, m]
-                next_his += [m, b]
-            los, his = next_los, next_his
-        below = s(np.array(mids)) < 0.5
-        k = 0
-        for _ in range(_LEVELS):
-            if hi - lo <= _EDGE_TOL:
-                break
-            if below[k]:
-                lo, k = mids[k], 2 * k + 2
+def _bisect(s, lo: float, hi: float, tol: float) -> float:
+    """Vacuum crossing in (lo, hi) by bisection to ``tol``, ``_LEVELS``
+    steps per call of ``s`` on the bracket's nested midpoint grid (see the
+    module notes)."""
+    n = 2 ** _LEVELS
+    grid = np.empty(n + 1)
+    while hi - lo > tol:
+        grid[0], grid[n] = lo, hi
+        for step in (2 ** k for k in range(_LEVELS, 0, -1)):   # 64, 32, ..., 2
+            grid[step // 2::step] = 0.5 * (grid[:-1:step] + grid[step::step])
+        below = s(grid[1:-1]) < 0.5     # below[k - 1] is at grid[k]
+        i, j = 0, n
+        while j - i > 1 and grid[j] - grid[i] > tol:
+            k = (i + j) // 2
+            if below[k - 1]:
+                i = k
             else:
-                hi, k = mids[k], 2 * k + 1
+                j = k
+        lo, hi = float(grid[i]), float(grid[j])
     return 0.5 * (lo + hi)
 
 
@@ -159,7 +151,8 @@ def find_band(phi: float, ss: SteadyState, p: SystemParams) -> SqueezingBand | N
         edge = cap   # sub-vacuum all the way out; report the cap as the edge
     else:
         i = int(above[0])
-        edge = _bisect(s, march[i - 1] if i else 0.0, march[i])
+        edge = _bisect(s, march[i - 1] if i else 0.0, march[i],
+                       _EDGE_TOL * p.kappa)
 
     grid = np.linspace(0.0, edge, 2049)   # the spectrum is even
     vals = s(grid)

@@ -14,14 +14,13 @@ tolerance, and a panel is refined when its worst component needs it.
 Panels are evaluated in batches so per-call overhead stays off the sweep
 hot path.
 
-Initial mesh. Without a hint it is 8 equal panels in s. A caller that
-knows its integrand's poles -width*i +- centre, peaks of half-width
-``width`` at +-centre, passes them as ``features``: the mesh is then 16
-equal panels, and the narrowest feature at each centre adds the edges
-atan(centre +- width * 2^j), j = -2, -1, ..., while width * 2^j is below
-tan(pi/16)(1 + centre^2), one panel's reach there. A mechanical peak 1e-9
-wide at zero needs a few refinement rounds at most, where it needed up to
-thirty, and split normal-mode peaks at +-centre need no more.
+Initial mesh. Every integral starts from 16 equal panels in s. A caller
+that knows its integrand's poles -width*i +- centre, peaks of half-width
+``width`` at +-centre, passes them as ``features``; the narrowest feature
+at each centre adds the edges atan(centre +- width * 2^j), j = -2, -1,
+..., while width * 2^j is below tan(pi/16)(1 + centre^2), one panel's
+reach there. A mechanical peak 1e-9 wide at zero then needs a few
+refinement rounds at most, and split normal-mode peaks at +-centre none.
 
 Split rule. Each round splits, in one batch, every panel whose worst
 component holds more than its share abs_tol / n_panels of the error
@@ -59,24 +58,21 @@ _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])       # Gauss subset
 
-_INITIAL_PANELS = 8          # equal panels in s without features
-_GRADED_PANELS = 16          # equal panels in s with them
+_PANELS = 16                 # equal panels in s, the base of every mesh
 _GRADE_FROM = -2             # finest graded offset: width * 2**_GRADE_FROM
-_REACH = math.tan(math.pi / _GRADED_PANELS)   # one panel's reach at zero
-_GRADED_EDGES = np.linspace(-np.pi / 2, np.pi / 2, _GRADED_PANELS + 1).tolist()
+_REACH = math.tan(math.pi / _PANELS)   # one panel's reach at zero
+_BASE_EDGES = np.linspace(-np.pi / 2, np.pi / 2, _PANELS + 1).tolist()
 
 
 def _initial_edges(features) -> np.ndarray:
     # see the module notes; edges that coincide (at +-pi/2, say) count once
-    if not features:
-        return np.linspace(-np.pi / 2, np.pi / 2, _INITIAL_PANELS + 1)
     narrowest: dict[float, float] = {}
     for centre, width in features:
         if not (width > 0.0 and math.isfinite(centre)):
             raise ValueError(f"feature needs a finite centre and a positive "
                              f"width, got ({centre}, {width})")
         narrowest[centre] = min(width, narrowest.get(centre, math.inf))
-    edges = set(_GRADED_EDGES)
+    edges = set(_BASE_EDGES)
     for centre, width in narrowest.items():
         # inf past |centre| ~ 1e154, where the doubling ends by overflow;
         # a feature no narrower than the reach adds no edge
@@ -116,8 +112,8 @@ def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000,
         Subdivision cap; exceeding it raises QuadratureFailure.
     features : iterable of (centre, width), optional
         Peaks of ``f``, each of half-width ``width`` at frequency
-        ``centre``; they grade the initial mesh. Empty starts from uniform
-        panels.
+        ``centre``; they grade the initial mesh. Empty starts from the 16
+        equal panels alone.
 
     Returns
     -------

@@ -15,6 +15,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -102,6 +103,37 @@ class TestSweeps:
         assert float(rows[0]["var_p"]) == pytest.approx(0.5, rel=1e-6)
         assert float(rows[1]["var_p"]) == pytest.approx(0.43390274661523626,
                                                         rel=1e-6)
+
+    def test_sweep_next_to_the_margin(self, tmp_path):
+        # slowest decay rate 1.5e-11 kappa: stable by Routh-Hurwitz, so
+        # the rows carry values
+        code, path = run(tmp_path, "sweep-cooperativity", "--gamma-m", "1e-11",
+                         "--cooperativity", "1", "--gain", "0",
+                         "--range", "0.5", "2", "--points", "3")
+        assert code == 0
+        _, rows = read_table(path)
+        assert [row["stable"] for row in rows] == ["true"] * 3
+        assert [float(row["var_p"]) for row in rows] == pytest.approx([0.5] * 3,
+                                                                      abs=1e-12)
+
+    @pytest.mark.parametrize("command, field, bounds", [
+        ("sweep-gain", "G", (0.0, 0.6)),
+        ("sweep-cooperativity", "cooperativity", (0.0, 2.0)),
+        ("sweep-temperature", "temperature", (0.0, 0.02)),
+    ])
+    def test_stable_column_is_routh_hurwitz(self, tmp_path, command, field,
+                                            bounds):
+        base = dict(gamma_m=1e-11, cooperativity=1.0, G=0.2, theta=0.2)
+        code, path = run(tmp_path, command, "--gamma-m", "1e-11",
+                         "--cooperativity", "1", "--gain", "0.2", "--theta", "0.2",
+                         "--range", *map(repr, bounds), "--points", "7")
+        assert code == 0
+        _, rows = read_table(path)
+        assert len(rows) == 7
+        for value, row in zip(np.linspace(*bounds, 7), rows):
+            p = omsqueeze.SystemParams(**{**base, field: float(value)})
+            stable = omsqueeze.routh_hurwitz(p, omsqueeze.solve_steady_state(p)).stable
+            assert row["stable"] == ("true" if stable else "false")
 
     def test_sweep_temperature(self, tmp_path):
         code, path = run(tmp_path, "sweep-temperature", "--config", "fig6",
@@ -210,6 +242,19 @@ class TestAnalyticOracleValidate:
                                                              abs=1e-5)
         out = capsys.readouterr().out
         assert "closed-form variance" in out
+
+    def test_analytic_next_to_the_margin(self, tmp_path, capsys):
+        # slowest decay rate about 1e-11 kappa: stable, and integrated
+        code, path = run(tmp_path, "analytic", "--gamma-m", "1e-11",
+                         "--cooperativity", "1", "--gain", "0.2")
+        assert code == 0
+        p = omsqueeze.SystemParams(gamma_m=1e-11, cooperativity=1.0, G=0.2)
+        ss = omsqueeze.solve_steady_state(p)
+        lyapunov = omsqueeze.steady_covariance(omsqueeze.build_drift(ss, p)).var_p
+        _, rows = read_table(path)
+        assert float(rows[0]["var_p_full"]) == pytest.approx(lyapunov, rel=1e-11)
+        out = capsys.readouterr().out
+        assert f"full-model variance       {lyapunov:.6f}" in out
 
     def test_oracle(self, tmp_path, capsys):
         code, path = run(tmp_path, "oracle", *QUICK_FLAGS,

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from omsqueeze import (
     NonPositiveVariance,
+    SingularSolve,
     SystemParams,
     UnstableSystem,
     build_drift,
@@ -21,6 +22,7 @@ from omsqueeze import (
 )
 
 from omsqueeze import mech_spectra
+from omsqueeze.stability import MARGINAL_EPS
 
 from conftest import draw_low_damping_params, draw_stable_params
 
@@ -291,6 +293,61 @@ class TestGuards:
                          G=0.5 + gam / 4 - 1e-12)
         with pytest.raises(UnstableSystem):
             quadrature_variances(solve_steady_state(p), p)
+
+
+def draw_near_marginal_params(rng):
+    """A working point whose slowest decay rate may lie just above
+    MARGINAL_EPS: a mirror damped at 10^U(-12.5, -9) kappa at any coupling,
+    gain, phase and temperature, or a bare cavity 10^U(-12, -8) kappa below
+    the parametric threshold."""
+    theta = float(rng.uniform(0.0, 2.0 * math.pi))
+    temperature = float(rng.choice([0.0, 0.02]))
+    if rng.uniform() < 0.5:
+        return SystemParams(gamma_m=float(10.0 ** rng.uniform(-12.5, -9.0)),
+                            cooperativity=float(10.0 ** rng.uniform(-2.0, 4.0)),
+                            G=float(rng.uniform(0.0, 0.5)), theta=theta,
+                            temperature=temperature)
+    return SystemParams(gamma_m=float(10.0 ** rng.uniform(-5.0, -2.0)),
+                        cooperativity=0.0,
+                        G=float(0.5 - 10.0 ** rng.uniform(-12.0, -8.0)),
+                        theta=theta, temperature=temperature)
+
+
+class TestNextToTheMargin:
+    def test_stable_points_integrate_and_match_lyapunov(self):
+        # decay rates in (MARGINAL_EPS, 1e-9) kappa are stable by
+        # routh_hurwitz, and the mesh graded at the drift poles integrates
+        # them; the Lyapunov gate refuses most bare-cavity points there
+        rng = np.random.default_rng(15)
+        kept = compared = 0
+        while kept < 100:
+            p = draw_near_marginal_params(rng)
+            ss = solve_steady_state(p)
+            rate = routh_hurwitz(p, ss).decay_rate
+            if not MARGINAL_EPS * p.kappa < rate < 1e-9 * p.kappa:
+                continue
+            kept += 1
+            pair = quadrature_variances(ss, p)
+            assert math.isfinite(pair.var_q) and math.isfinite(pair.var_p)
+            try:
+                cov = steady_covariance(build_drift(ss, p))
+            except SingularSolve:
+                continue
+            compared += 1
+            assert pair.var_q == pytest.approx(cov.var_q, rel=1e-12)
+            assert pair.var_p == pytest.approx(cov.var_p, rel=1e-12)
+        assert compared >= 40
+
+    def test_refused_exactly_when_routh_hurwitz_says_unstable(self):
+        rng = np.random.default_rng(16)
+        for _ in range(200):
+            p = draw_near_marginal_params(rng)
+            ss = solve_steady_state(p)
+            if routh_hurwitz(p, ss).stable:
+                quadrature_variances(ss, p)
+            else:
+                with pytest.raises(UnstableSystem):
+                    quadrature_variances(ss, p)
 
 
 class TestSqueezingDb:

@@ -1,5 +1,6 @@
 """Homodyne output spectrum, squeezing band extraction, detection map."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -181,7 +182,7 @@ def scalar_band_edge(phi: float, ss, p) -> float | None:
         if hi >= cap:
             return cap
         hi = min(2.0 * hi, cap)
-    while hi - lo > 1e-5:
+    while hi - lo > 1e-5 * p.kappa:
         mid = 0.5 * (lo + hi)
         if s(mid) < 0.5:
             lo = mid
@@ -241,6 +242,42 @@ class TestBatchedBandSearch:
         band = find_band(PHASE_QUAD, ss, p)
         edge = scalar_band_edge(PHASE_QUAD, ss, p)
         assert (band.omega_lo, band.omega_hi) == (-edge, edge)
+
+    def test_edges_scale_with_kappa(self):
+        # every rate of fig8 times kappa: the edge is resolved to 1e-5 kappa
+        # at each scale, so in units of kappa it does not move
+        base = params_from_mapping(_resolve_config("fig8"))
+        edges = []
+        for kappa in (1e-3, 1.0, 1e3):
+            p = dataclasses.replace(base, kappa=kappa, gamma_m=base.gamma_m * kappa,
+                                    omega_m=base.omega_m * kappa, G=base.G * kappa)
+            ss = solve_steady_state(p)
+            band = find_band(PHASE_QUAD, ss, p)
+            edge = scalar_band_edge(PHASE_QUAD, ss, p)
+            assert (band.omega_lo, band.omega_hi) == (-edge, edge)
+            edges.append(edge / kappa)
+        assert max(edges) - min(edges) <= 1e-5
+
+    def test_bisection_on_non_monotone_brackets(self):
+        # step functions with 1-7 vacuum crossings in (0, 1): the batched
+        # search takes the scalar bisection's path to whichever crossing
+        rng = np.random.default_rng(15)
+        for _ in range(3000):
+            crossings = np.sort(rng.uniform(0.0, 1.0, rng.integers(1, 8)))
+            tol = float(10.0 ** rng.uniform(-10.0, -2.0))
+
+            def s(w, crossings=crossings):
+                # below the vacuum level up to the first crossing, then alternating
+                return np.where(np.searchsorted(crossings, w, side="right") % 2, 1.0, 0.0)
+
+            lo, hi = 0.0, 1.0
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                if s(mid) < 0.5:
+                    lo = mid
+                else:
+                    hi = mid
+            assert output_detection._bisect(s, 0.0, 1.0, tol) == 0.5 * (lo + hi)
 
 
 class TestOneEvaluationPerFrequency:
