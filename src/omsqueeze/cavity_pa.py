@@ -74,10 +74,3 @@ def cavity_variances(p: SystemParams) -> tuple[float, float]:
     var_x, var_y = integrate_line(lambda w: np.stack(cavity_spectra(w, p)),
                                   features=[(0.0, p.kappa - 2.0 * p.G)])
     return float(var_x) / (2.0 * np.pi), float(var_y) / (2.0 * np.pi)
-
-
-def _var_y_theta0(p: SystemParams) -> float:
-    # contour integral of the theta = 0 phase-quadrature Lorentzian;
-    # internal oracle for the quadrature engine
-    nc = thermal_occupation(p.omega_c_phys, p.temperature) + 0.5
-    return p.kappa * nc / (p.kappa + 2.0 * p.G)

@@ -17,14 +17,15 @@ prefactor. That structure is kept exactly as derived; it reproduces the
 reference band half-width below, so it is cross-checked, not assumed.
 
 The band search is a scalar bisection to 1e-5 kappa, evaluated in
-batches. The outward march from 1e-3 kappa, doubling up to 10 kappa, is
-one spectrum call; each further call evaluates the 63 interior points of
-the bracket's nested midpoint grid, each 0.5 * (a + b) of its neighbours
-one level up: the floats the next six steps could visit. Bisecting on
-grid indices then compares the same values at the same floats as one call
-per step would, so the edges equal the scalar bisection's bit for bit, in
-about five spectrum calls where one per step took up to thirty. The
-minimum is then read on [0, edge], so it is reported at omega >= 0.
+batches. Zero and the outward march from 1e-3 kappa, doubling up to 10
+kappa, are one spectrum call; each further call evaluates the 63 interior
+points of the bracket's nested midpoint grid, each 0.5 * (a + b) of its
+neighbours one level up: the floats the next six steps could visit.
+Bisecting on grid indices then compares the same values at the same
+floats as one call per step would, so the edges equal the scalar
+bisection's bit for bit, in about five spectrum calls where one per step
+took up to thirty. The minimum is then read on [0, edge], so it is
+reported at omega >= 0.
 """
 from __future__ import annotations
 
@@ -131,28 +132,27 @@ def find_band(phi: float, ss: SteadyState, p: SystemParams) -> SqueezingBand | N
     point evaluates to 0.5 minus a few ulps and must not report a band.
     Only the connected sub-vacuum interval containing zero is reported; the
     spectrum is even, so the band is symmetric and the search runs on
-    positive frequencies only. The whole outward march is one evaluation,
-    and the bisection takes ``_LEVELS`` steps per evaluation.
+    positive frequencies only. Zero and the whole outward march are one
+    evaluation, and the bisection takes ``_LEVELS`` steps per evaluation.
     """
     def s(w):
         return spectrum_zout(w, phi, ss, p)
 
-    if float(s(np.float64(0.0))) >= 0.5 - _VACUUM_MARGIN:
-        return None
-
-    # march outward from 1e-3 kappa, doubling up to the cap; the first
-    # march point back at the vacuum level bounds the band
+    # zero, then outward from 1e-3 kappa doubling up to the cap, in one
+    # evaluation; the first point back at the vacuum level bounds the band
     cap = _SEARCH_CAP * p.kappa
-    march = [1e-3 * p.kappa]
+    march = [0.0, 1e-3 * p.kappa]
     while march[-1] < cap:
         march.append(min(2.0 * march[-1], cap))
-    above = np.flatnonzero(s(np.array(march)) >= 0.5)
+    values = s(np.array(march))
+    if values[0] >= 0.5 - _VACUUM_MARGIN:
+        return None
+    above = np.flatnonzero(values >= 0.5)
     if above.size == 0:
         edge = cap   # sub-vacuum all the way out; report the cap as the edge
     else:
-        i = int(above[0])
-        edge = _bisect(s, march[i - 1] if i else 0.0, march[i],
-                       _EDGE_TOL * p.kappa)
+        i = int(above[0])   # at least 1, as the value at zero is below vacuum
+        edge = _bisect(s, march[i - 1], march[i], _EDGE_TOL * p.kappa)
 
     grid = np.linspace(0.0, edge, 2049)   # the spectrum is even
     vals = s(grid)

@@ -4,13 +4,15 @@ The variance integrals run over the entire frequency axis with rational,
 even integrands decaying like omega^-2, so the engine maps the line to
 (-pi/2, pi/2) via omega = tan(s) (the transformed integrand stays bounded
 at the endpoints) and refines a Gauss-Kronrod 7/15 panel subdivision until
-the summed error estimate meets an absolute tolerance.
+the summed error estimate of each integral I meets its budget
+max(abs_tol, ``_REL_TOL`` |I|), QUADPACK's rule (Piessens et al., Springer
+1983): absolute where I is small, relative where it is large.
 
 The integrand callable takes an ndarray of n frequencies and returns
 either n values or an (m, n) stack of m integrands that share the
 frequency axis, such as the two quadrature spectra of one working point.
-A stack is integrated in one pass: every component must meet the
-tolerance, and a panel is refined when its worst component needs it.
+A stack is integrated in one pass: every component must meet its own
+budget, and a panel is refined when its worst component needs it.
 Panels are evaluated in batches so per-call overhead stays off the sweep
 hot path.
 
@@ -23,8 +25,8 @@ reach there. A mechanical peak 1e-9 wide at zero then needs a few
 refinement rounds at most, and split normal-mode peaks at +-centre none.
 
 Split rule. Each round splits, in one batch, every panel whose worst
-component holds more than its share abs_tol / n_panels of the error
-budget; the panel with the largest error always qualifies.
+component holds more than its share budget / n_panels of the smallest
+component budget; the panel with the largest error always qualifies.
 """
 from __future__ import annotations
 
@@ -58,6 +60,7 @@ _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])       # Gauss subset
 
+_REL_TOL = 1e-10             # relative part of every error budget
 _PANELS = 16                 # equal panels in s, the base of every mesh
 _GRADE_FROM = -2             # finest graded offset: width * 2**_GRADE_FROM
 _REACH = math.tan(math.pi / _PANELS)   # one panel's reach at zero
@@ -99,7 +102,7 @@ def _eval_panels(F, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000,
                    features=()):
-    """Integrate ``f`` over the whole real line to absolute tolerance.
+    """Integrate ``f`` over the whole real line to its error budget.
 
     Parameters
     ----------
@@ -107,7 +110,8 @@ def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000,
         Vectorized integrand; called with an ndarray of n frequencies, it
         returns n values or an (m, n) stack of m integrands.
     abs_tol : float
-        Target on the summed panel error estimates, met by every component.
+        Floor of each component's budget max(abs_tol, 1e-10 |I|) on its
+        summed panel error estimates, for its integral I.
     max_panels : int
         Subdivision cap; exceeding it raises QuadratureFailure.
     features : iterable of (centre, width), optional
@@ -123,7 +127,7 @@ def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000,
     Raises
     ------
     QuadratureFailure
-        If the tolerance is not met within the panel cap or the integrand
+        If a budget is not met within the panel cap or the integrand
         produced non-finite values.
     """
     def F(s: np.ndarray) -> np.ndarray:
@@ -137,18 +141,18 @@ def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000,
     while True:
         if not (np.isfinite(vals).all() and np.isfinite(errs).all()):
             raise QuadratureFailure("integrand returned non-finite values")
-        total_err = errs.sum(axis=-1)
-        if (total_err <= abs_tol).all():
-            total = vals.sum(axis=-1)
+        total, total_err = vals.sum(axis=-1), errs.sum(axis=-1)
+        budget = np.maximum(abs_tol, _REL_TOL * np.abs(total))
+        if (total_err <= budget).all():
             return float(total) if total.ndim == 0 else total
-        if los.size >= max_panels:
-            raise QuadratureFailure(
-                f"error {total_err.max():.3e} > tol {abs_tol:.1e} at {los.size} panels"
-            )
+        if los.size >= max_panels:   # report the component furthest over
+            k = int(np.argmax(total_err / budget))
+            raise QuadratureFailure(f"error {total_err.flat[k]:.3e} > tol "
+                                    f"{budget.flat[k]:.1e} at {los.size} panels")
         # split every panel whose worst component holds more than its share
-        # of the budget; with finite errors the worst panel always qualifies
+        # of the smallest budget; with finite errors the worst panel qualifies
         worst = errs.reshape(-1, los.size).max(axis=0)
-        split = worst > abs_tol / los.size
+        split = worst > budget.min() / los.size
         mid = 0.5 * (los[split] + his[split])
         new_lo = np.column_stack([los[split], mid]).ravel()
         new_hi = np.column_stack([mid, his[split]]).ravel()

@@ -12,9 +12,10 @@ from omsqueeze import (
     cavity_variances,
     quadrature_variances,
     solve_steady_state,
+    thermal_occupation,
 )
 from omsqueeze import cavity_pa
-from omsqueeze.cavity_pa import _coeff_arrays, _var_y_theta0
+from omsqueeze.cavity_pa import _coeff_arrays
 from omsqueeze.cli import main, read_table
 
 
@@ -22,6 +23,13 @@ def cavity_only(G: float, theta: float = 0.0,
                 temperature: float = 0.0) -> SystemParams:
     return SystemParams(gamma_m=1e-5, cooperativity=0.0, G=G, theta=theta,
                         temperature=temperature)
+
+
+def var_y_theta0(p: SystemParams) -> float:
+    """The phase-quadrature variance at theta = 0 in closed form: the
+    contour integral of its Lorentzian, kappa (n_c + 1/2) / (kappa + 2G)."""
+    nc = thermal_occupation(p.omega_c_phys, p.temperature) + 0.5
+    return p.kappa * nc / (p.kappa + 2.0 * p.G)
 
 
 def cavity_coeffs(omega: float, p: SystemParams) -> dict:
@@ -91,7 +99,7 @@ class TestVariances:
         for G in np.linspace(0.0, 0.49, 8):
             p = cavity_only(float(G))
             var_x, var_y = cavity_variances(p)
-            assert var_y == pytest.approx(_var_y_theta0(p), rel=1e-6)
+            assert var_y == pytest.approx(var_y_theta0(p), rel=1e-6)
             assert var_x == pytest.approx(
                 p.kappa * 0.5 / (p.kappa - 2.0 * G), rel=1e-6)
 
@@ -131,16 +139,19 @@ class TestVariances:
 
 class TestNearThreshold:
     # the factored denominator (u - 2G)(u + 2G) stays accurate as
-    # G -> kappa/2, so the integral converges down to kappa - 2G of about 1e-6
+    # G -> kappa/2, and the budget relative to the variance lets the
+    # integral converge where kappa - 2G is 1e-6 and var_x about 5e5
     def test_cavity_sweep_next_to_threshold(self, tmp_path):
         path = tmp_path / "x.csv"
-        code = main(["cavity-sweep", "--config", "fig9", "--range", "0.49998",
-                     "0.49999", "--points", "3", "-o", str(path), "--no-timestamp"])
-        assert code == 0
-        _, rows = read_table(path)
-        for row in rows:
-            p = cavity_only(float(row["G_over_kappa"]))
-            assert float(row["var_y"]) == pytest.approx(_var_y_theta0(p), rel=1e-11)
+        for lo, hi in (("0.49998", "0.49999"), ("0.49", "0.499999475")):
+            code = main(["cavity-sweep", "--config", "fig9", "--range", lo, hi,
+                         "--points", "3", "-o", str(path), "--no-timestamp"])
+            assert code == 0
+            _, rows = read_table(path)
+            for row in rows:
+                p = cavity_only(float(row["G_over_kappa"]))
+                assert row["warnings"] == ""
+                assert float(row["var_y"]) == pytest.approx(var_y_theta0(p), rel=1e-11)
 
     def test_closed_form_on_draws_near_threshold(self):
         rng = np.random.default_rng(8)
@@ -148,7 +159,7 @@ class TestNearThreshold:
             gap = float(10.0 ** rng.uniform(-5.0, -3.0))   # kappa - 2G
             p = cavity_only(0.5 * (1.0 - gap))
             _, var_y = cavity_variances(p)
-            assert var_y == pytest.approx(_var_y_theta0(p), rel=1e-13)
+            assert var_y == pytest.approx(var_y_theta0(p), rel=1e-13)
 
 
 class TestAgainstMechanicalOptimum:

@@ -20,7 +20,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import omsqueeze
-from omsqueeze import ModelError, SimConfig
+from omsqueeze import (
+    ModelError,
+    QuadratureFailure,
+    SimConfig,
+    SystemParams,
+    build_drift,
+    cli,
+    solve_steady_state,
+    steady_covariance,
+)
 from omsqueeze.cli import _write_table, build_parser, main, read_table
 
 OPT_FLAGS = ["--gamma-m", "1e-5", "--cooperativity", "400",
@@ -75,11 +84,34 @@ class TestSweeps:
         dead = [r for r in rows if r["stable"] == "false"]
         assert dead
         assert all(r["var_p"] == "" and r["var_q"] == "" for r in dead)
-        # G = 0.5 sits a hair below the instability onset: stable, but the
-        # variance integral cannot resolve the near-marginal peak
+        # G = 0.5 sits a hair below the instability onset: var_q is about
+        # 1e5, and its integral meets the budget relative to that size
         grazing = rows[1]
-        assert grazing["stable"] == "true" and grazing["var_p"] == ""
-        assert "marginal" in grazing["warnings"]
+        assert grazing["stable"] == "true" and grazing["warnings"] == ""
+        p = SystemParams(gamma_m=1e-5, cooperativity=400.0, G=0.5, theta=math.pi / 16)
+        cov = steady_covariance(build_drift(solve_steady_state(p), p))
+        assert float(grazing["var_q"]) == pytest.approx(cov.var_q, rel=1e-9)
+        assert float(grazing["var_p"]) == pytest.approx(cov.var_p, rel=1e-9)
+
+    def test_sweep_gain_flags_a_failed_integral(self, tmp_path, monkeypatch):
+        # an integral that misses its budget at one stable point flags that
+        # row and the sweep goes on
+        engine = cli.quadrature_variances
+
+        def variances(ss, p):
+            if p.G == 0.2:
+                raise QuadratureFailure("error 1e-07 > tol 1e-08 at 2000 panels")
+            return engine(ss, p)
+        monkeypatch.setattr(cli, "quadrature_variances", variances)
+        code, path = run(tmp_path, "sweep-gain", *OPT_FLAGS,
+                         "--range", "0", "0.4", "--points", "3")
+        assert code == 0
+        _, rows = read_table(path)
+        assert [row["warnings"] for row in rows[::2]] == ["", ""]
+        flagged = rows[1]
+        assert "variance integral failed" in flagged["warnings"]
+        assert [flagged[key] for key in ("var_q", "var_p", "squeezing_db", "stable")] \
+            == ["", "", "", "true"]
 
     def test_sweep_cooperativity(self, tmp_path):
         code, path = run(tmp_path, "sweep-cooperativity", "--gamma-m", "1e-5",
@@ -160,10 +192,16 @@ class TestSweeps:
         _, rows = read_table(path)
         assert rows[-1]["stable"] == "false" and rows[-1]["var_y"] == ""
 
+    def test_cavity_sweep_flags_a_failed_integral(self, tmp_path, monkeypatch):
+        # an integral that misses its budget below threshold flags that row
+        # and the sweep goes on
+        engine = cli.cavity_variances
 
-    def test_cavity_sweep_flags_a_failed_integral(self, tmp_path):
-        # kappa - 2G = 1.05e-6 at the last point: the variance integral
-        # hits its panel cap there, and the sweep flags that row and goes on
+        def variances(p):
+            if p.G == 0.499999475:
+                raise QuadratureFailure("error 1e-07 > tol 1e-08 at 2000 panels")
+            return engine(p)
+        monkeypatch.setattr(cli, "cavity_variances", variances)
         code, path = run(tmp_path, "cavity-sweep", "--config", "fig9",
                          "--range", "0.49", "0.499999475", "--points", "3")
         assert code == 0
@@ -345,6 +383,46 @@ class TestAnalyticOracleValidate:
         assert len(rows) == 8
         out = capsys.readouterr().out
         assert "PASSED" in out
+
+    def test_validate_table_contract(self, tmp_path):
+        # metadata keys in order, each check's rows with its threshold, a
+        # verdict per row, and each worst metric the largest of its check
+        code, path = run(tmp_path, "validate", "--seed", "3",
+                         "--quad-draws", "6", "--sde-draws", "2")
+        assert code == 0
+        meta, rows = read_table(path)
+        keys = ["command", "version", "seed", "quad_draws", "sde_draws",
+                "worst_rel_diff", "worst_z", "passed"]
+        assert list(meta) == keys
+        assert [(row["check"], row["threshold"]) for row in rows] == \
+            [("quad_vs_lyapunov", "1e-06")] * 6 + [("sde_vs_lyapunov", "3")] * 2
+        for row in rows:
+            within = float(row["metric"]) <= float(row["threshold"])
+            assert row["passed"] == ("true" if within else "false")
+        for check, key in (("quad_vs_lyapunov", "worst_rel_diff"),
+                           ("sde_vs_lyapunov", "worst_z")):
+            metrics = [row["metric"] for row in rows if row["check"] == check]
+            assert meta[key] == max(metrics, key=float)
+        # a timestamped run adds the run time before the verdict
+        stamped = tmp_path / "stamped.csv"
+        assert main(["validate", "--seed", "3", "--quad-draws", "6",
+                     "--sde-draws", "2", "-o", str(stamped)]) == 0
+        assert list(read_table(stamped)[0]) == \
+            [*keys[:-1], "elapsed_s", "passed", "generated_at"]
+
+    def test_validate_exits_2_on_a_failed_check(self, tmp_path, capsys, monkeypatch):
+        # a zero threshold no quadrature can meet: that check and the run fail
+        quad, sde = cli._CHECKS
+        monkeypatch.setattr(cli, "_CHECKS", (quad[:3] + (0.0,) + quad[4:], sde))
+        code, path = run(tmp_path, "validate", "--seed", "3",
+                         "--quad-draws", "2", "--sde-draws", "1")
+        assert code == 2
+        meta, rows = read_table(path)
+        assert meta["passed"] == "false"
+        assert [row["passed"] for row in rows] == ["false", "false", "true"]
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].endswith(": FAIL") and out[1].endswith(": PASS")
+        assert out[2].startswith("validation FAILED in ")
 
 
 class TestOutputContract:

@@ -216,7 +216,7 @@ class TestBatchedBandSearch:
                 assert (band.omega_lo, band.omega_hi) == (-edge, edge)
                 # the 2049-point grid for the minimum is the last call
                 assert calls[-1] == 2049
-                assert len(calls) - 1 <= 6
+                assert len(calls) - 1 <= 5
         assert cases == 1000
         assert bands >= 150
 
