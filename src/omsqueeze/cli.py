@@ -221,6 +221,10 @@ def read_table(path) -> tuple[dict[str, str], list[dict[str, str]]]:
 # ---------------------------------------------------------------------------
 # one table row per working point
 
+# warnings cell of a row whose integral raised QuadratureFailure (no comma)
+_INTEGRAL_FAILED = "variance integral failed: {}"
+
+
 def _mech_row(p: SystemParams) -> tuple:
     ss = solve_steady_state(p)
     warnings = ";".join(rwa_flags(p, ss.g))
@@ -228,10 +232,10 @@ def _mech_row(p: SystemParams) -> tuple:
         pair = quadrature_variances(ss, p)
     except UnstableSystem:
         return (None, None, None, False, warnings)
-    except QuadratureFailure:
-        # stable, but the variance integral misses its budget within the
-        # panel cap; keep the sweep alive and flag the point
-        note = "variance integral failed (nearly marginal point)"
+    except QuadratureFailure as exc:
+        # stable, but the variance integral fails; keep the sweep alive
+        # and flag the point
+        note = _INTEGRAL_FAILED.format(exc)
         warnings = f"{warnings};{note}" if warnings else note
         return (None, None, None, True, warnings)
     return (pair.var_q, pair.var_p, squeezing_db(pair.var_p), True, warnings)
@@ -242,10 +246,10 @@ def _cavity_row(p: SystemParams) -> tuple:
         _, var_y = cavity_variances(p)
     except AboveThreshold:
         return (p.theta, None, None, False, "")
-    except QuadratureFailure:
-        # below threshold, but the variance integral misses its budget
-        # within the panel cap; keep the sweep alive and flag the point
-        return (p.theta, None, None, True, "variance integral failed (next to threshold)")
+    except QuadratureFailure as exc:
+        # below threshold, but the variance integral fails; keep the sweep
+        # alive and flag the point
+        return (p.theta, None, None, True, _INTEGRAL_FAILED.format(exc))
     return (p.theta, var_y, squeezing_db(var_y), True, "")
 
 

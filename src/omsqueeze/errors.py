@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+__all__ = ["AboveThreshold", "ConfigError", "DivergingTrajectory", "DomainError",
+           "FeedbackUnstable", "ModelError", "NonConvergence", "NonPositiveVariance",
+           "QuadratureFailure", "SingularSolve", "UnstableSystem", "ZeroCoupling"]
+
 
 class ModelError(Exception):
     """Base class for numerical/model failures (CLI maps these to exit code 2)."""

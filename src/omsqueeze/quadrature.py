@@ -5,8 +5,8 @@ even integrands decaying like omega^-2, so the engine maps the line to
 (-pi/2, pi/2) via omega = tan(s) (the transformed integrand stays bounded
 at the endpoints) and refines a Gauss-Kronrod 7/15 panel subdivision until
 the summed error estimate of each integral I meets its budget
-max(abs_tol, ``_REL_TOL`` |I|), QUADPACK's rule (Piessens et al., Springer
-1983): absolute where I is small, relative where it is large.
+max(``_ABS_TOL``, ``_REL_TOL`` |I|), QUADPACK's rule (Piessens et al.,
+Springer 1983): absolute where I is small, relative where it is large.
 
 The integrand callable takes an ndarray of n frequencies and returns
 either n values or an (m, n) stack of m integrands that share the
@@ -60,7 +60,9 @@ _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])       # Gauss subset
 
+_ABS_TOL = 1e-8              # absolute part of every error budget
 _REL_TOL = 1e-10             # relative part of every error budget
+_MAX_PANELS = 2000           # subdivision cap; reaching it fails the integral
 _PANELS = 16                 # equal panels in s, the base of every mesh
 _GRADE_FROM = -2             # finest graded offset: width * 2**_GRADE_FROM
 _REACH = math.tan(math.pi / _PANELS)   # one panel's reach at zero
@@ -100,20 +102,17 @@ def _eval_panels(F, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.nd
     return k15, np.abs(k15 - g7)
 
 
-def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000,
-                   features=()):
+def integrate_line(f, features=()):
     """Integrate ``f`` over the whole real line to its error budget.
+
+    Each component's budget is max(1e-8, 1e-10 |I|) on its summed panel
+    error estimates, for its integral I, within a cap of 2000 panels.
 
     Parameters
     ----------
     f : callable
         Vectorized integrand; called with an ndarray of n frequencies, it
         returns n values or an (m, n) stack of m integrands.
-    abs_tol : float
-        Floor of each component's budget max(abs_tol, 1e-10 |I|) on its
-        summed panel error estimates, for its integral I.
-    max_panels : int
-        Subdivision cap; exceeding it raises QuadratureFailure.
     features : iterable of (centre, width), optional
         Peaks of ``f``, each of half-width ``width`` at frequency
         ``centre``; they grade the initial mesh. Empty starts from the 16
@@ -142,10 +141,10 @@ def integrate_line(f, abs_tol: float = 1e-8, max_panels: int = 2000,
         if not (np.isfinite(vals).all() and np.isfinite(errs).all()):
             raise QuadratureFailure("integrand returned non-finite values")
         total, total_err = vals.sum(axis=-1), errs.sum(axis=-1)
-        budget = np.maximum(abs_tol, _REL_TOL * np.abs(total))
+        budget = np.maximum(_ABS_TOL, _REL_TOL * np.abs(total))
         if (total_err <= budget).all():
             return float(total) if total.ndim == 0 else total
-        if los.size >= max_panels:   # report the component furthest over
+        if los.size >= _MAX_PANELS:   # report the component furthest over
             k = int(np.argmax(total_err / budget))
             raise QuadratureFailure(f"error {total_err.flat[k]:.3e} > tol "
                                     f"{budget.flat[k]:.1e} at {los.size} panels")

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DivergingTrajectory, UnstableSystem
-from .stability import MARGINAL_EPS, DriftModel, _decay_rate
+from .stability import DriftModel, _decay_rate
 
 __all__ = ["SimConfig", "SimEstimate", "simulate", "suggest_config"]
 
@@ -119,8 +119,8 @@ class SimEstimate(NamedTuple):
 
 def _slowest(M: np.ndarray, refusal: str) -> float:
     """Slowest decay rate of M; UnstableSystem(refusal) unless stable as in eigen_stable."""
-    slowest = _decay_rate(M)
-    if not slowest > MARGINAL_EPS:
+    slowest, decaying = _decay_rate(M)
+    if not decaying:
         raise UnstableSystem(refusal)
     return slowest
 

@@ -13,8 +13,9 @@ three explicit inequalities in (kappa, gamma_m, G, |g|), which are exactly
 the nontrivial first-column entries of the Routh table of the quartic
 characteristic polynomial, and decides on the slowest decay rate of that
 quartic, which factors into two closed-form quadratics. ``eigen_stable``
-checks the eigenvalues of a drift of any size by ``_decay_rate``, the rule
-the sampler shares. Neither involves the parametric phase theta.
+checks the eigenvalues of a drift of any size by ``_decay_rate``, which
+the sampler shares. Both decide by ``_decaying``, and neither involves
+the parametric phase theta.
 """
 from __future__ import annotations
 
@@ -28,9 +29,9 @@ from .params import SteadyState, SystemParams
 __all__ = ["DriftModel", "StabilityReport", "build_drift", "routh_hurwitz",
            "eigen_stable"]
 
-# Decay rate (units of kappa) or eigenvalue real part within this of zero
-# counts as marginal; marginal points are reported unstable because the
-# downstream variance integrals blow up there.
+# A slowest decay rate at or below this times the drift's -tr(M)/2, which
+# is kappa + gamma_m/2, counts as marginal; marginal points are reported
+# unstable because the downstream variance integrals blow up there.
 MARGINAL_EPS = 1e-12
 
 
@@ -104,13 +105,21 @@ def _poles(kappa: float, gamma_m: float, G: float, g2: float) -> tuple[complex, 
     return tuple(roots)
 
 
+def _decaying(rate: float, damping: float) -> bool:
+    """The marginal rule: a slowest decay rate decays when it exceeds
+    MARGINAL_EPS times ``damping``, -tr(M)/2 of an n x n drift; that is at
+    least n/2 times the rate, so no rate at or below zero passes."""
+    return rate > MARGINAL_EPS * damping
+
+
 def routh_hurwitz(p: SystemParams, ss: SteadyState) -> StabilityReport:
     """Evaluate the three explicit stability conditions and decide.
 
     Returns the three left-hand sides; ``stable`` means the slowest decay
-    rate exceeds MARGINAL_EPS*kappa, and a rate within that of zero is
-    flagged marginal (and unstable). The conditions differ in dimension,
-    so none of them is compared with a fixed margin.
+    rate passes ``_decaying`` at the scale kappa + gamma_m/2, -tr(M)/2 of
+    ``build_drift``'s M, and a rate whose magnitude fails it is flagged
+    marginal (and unstable). The conditions differ in dimension, so none
+    of them is compared with a fixed margin.
     """
     k, gam, G = p.kappa, p.gamma_m, p.G
     g2 = abs(ss.g) ** 2
@@ -125,24 +134,28 @@ def routh_hurwitz(p: SystemParams, ss: SteadyState) -> StabilityReport:
 
     poles = _poles(k, gam, G, g2)
     rate = min(-lam.real for lam in poles)
-    return StabilityReport(stable=rate > MARGINAL_EPS * k, conditions=(c1, c2, c3),
-                           marginal=abs(rate) <= MARGINAL_EPS * k, decay_rate=rate,
+    damping = k + gam / 2
+    return StabilityReport(stable=_decaying(rate, damping), conditions=(c1, c2, c3),
+                           marginal=not _decaying(abs(rate), damping), decay_rate=rate,
                            poles=poles)
 
 
-def _decay_rate(M: np.ndarray) -> float:
-    """Slowest decay rate -max Re(lambda) of M, from one ``eigvals``; M is
-    stable when it exceeds MARGINAL_EPS. ValueError for a non-finite M."""
+def _decay_rate(M: np.ndarray) -> tuple[float, bool]:
+    """Slowest decay rate -max Re(lambda) of M, from one ``eigvals``, and
+    whether it is decaying by ``_decaying`` at the scale -tr(M)/2.
+    ValueError for a non-finite M."""
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise ValueError("drift matrix must be finite")
-    return float(-np.linalg.eigvals(M).real.max())
+    rate = float(-np.linalg.eigvals(M).real.max())
+    return rate, _decaying(rate, -0.5 * float(M.trace()))
 
 
 def eigen_stable(M: np.ndarray) -> bool:
-    """True iff every eigenvalue of M has real part < -MARGINAL_EPS.
+    """True iff every eigenvalue of M decays by the marginal rule: its
+    real part is below -MARGINAL_EPS times -tr(M)/2.
 
-    Marginal spectra (max real part within MARGINAL_EPS of zero) count as
-    unstable, matching the routh_hurwitz convention.
+    Marginal spectra count as unstable, matching routh_hurwitz, which
+    takes the same scale from its inputs.
     """
-    return _decay_rate(M) > MARGINAL_EPS
+    return _decay_rate(M)[1]

@@ -1,4 +1,5 @@
-"""Shared fixtures: the optimal working point and random stable draws."""
+"""Shared fixtures: the optimal working point and random draws, stable
+and next to the margin."""
 
 import math
 
@@ -33,3 +34,21 @@ def draw_low_damping_params(rng):
         theta=float(rng.uniform(0.0, 2.0 * math.pi)),
         temperature=float(rng.choice([0.0, 0.02])),
     )
+
+
+def draw_near_marginal_params(rng):
+    """A working point whose slowest decay rate may lie just above the
+    margin: a mirror damped at 10^U(-12.5, -9) kappa at any coupling, gain,
+    phase and temperature, or a bare cavity 10^U(-12, -8) kappa below the
+    parametric threshold."""
+    theta = float(rng.uniform(0.0, 2.0 * math.pi))
+    temperature = float(rng.choice([0.0, 0.02]))
+    if rng.uniform() < 0.5:
+        return SystemParams(gamma_m=float(10.0 ** rng.uniform(-12.5, -9.0)),
+                            cooperativity=float(10.0 ** rng.uniform(-2.0, 4.0)),
+                            G=float(rng.uniform(0.0, 0.5)), theta=theta,
+                            temperature=temperature)
+    return SystemParams(gamma_m=float(10.0 ** rng.uniform(-5.0, -2.0)),
+                        cooperativity=0.0,
+                        G=float(0.5 - 10.0 ** rng.uniform(-12.0, -8.0)),
+                        theta=theta, temperature=temperature)

@@ -109,7 +109,8 @@ class TestSweeps:
         _, rows = read_table(path)
         assert [row["warnings"] for row in rows[::2]] == ["", ""]
         flagged = rows[1]
-        assert "variance integral failed" in flagged["warnings"]
+        assert flagged["warnings"] == \
+            "variance integral failed: error 1e-07 > tol 1e-08 at 2000 panels"
         assert [flagged[key] for key in ("var_q", "var_p", "squeezing_db", "stable")] \
             == ["", "", "", "true"]
 
@@ -176,6 +177,21 @@ class TestSweeps:
         assert vals == sorted(vals)
         assert vals[1] == pytest.approx(0.3950, abs=2e-3)
 
+    def test_sweep_temperature_flags_an_overflowing_integral(self, tmp_path):
+        # the spectra overflow at 5e299 K and 1e300 K: those rows name the
+        # failure the integrator raised, and the table still parses
+        code, path = run(tmp_path, "sweep-temperature", "--gamma-m", "1e-5",
+                         "--cooperativity", "400",
+                         "--range", "0", "1e300", "--points", "3")
+        assert code == 0
+        _, rows = read_table(path)
+        assert rows[0]["warnings"] == ""
+        for row in rows[1:]:
+            assert row["warnings"] == \
+                "variance integral failed: integrand returned non-finite values"
+            assert [row[key] for key in ("var_q", "var_p", "squeezing_db", "stable")] \
+                == ["", "", "", "true"]
+
     def test_cavity_sweep(self, tmp_path):
         code, path = run(tmp_path, "cavity-sweep", "--theta", "0",
                          "--gamma-m", "1e-5", "--cooperativity", "0",
@@ -208,7 +224,8 @@ class TestSweeps:
         _, rows = read_table(path)
         assert [row["warnings"] for row in rows[:2]] == ["", ""]
         last = rows[-1]
-        assert "variance integral failed" in last["warnings"]
+        assert last["warnings"] == \
+            "variance integral failed: error 1e-07 > tol 1e-08 at 2000 panels"
         assert (last["var_y"], last["squeezing_db"], last["stable"]) == ("", "", "true")
 
 

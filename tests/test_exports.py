@@ -18,3 +18,17 @@ def test_all_entries_resolve(name):
     missing = [entry for entry in getattr(module, "__all__", ())
                if not hasattr(module, entry)]
     assert missing == []
+
+
+def test_package_lists_each_module_name_once():
+    # the package's list is the union of its modules' lists
+    names = {"BACKEND", "__version__"}
+    for name in MODULES[1:]:
+        names.update(getattr(importlib.import_module(name), "__all__", ()))
+    assert len(omsqueeze.__all__) == len(set(omsqueeze.__all__))
+    assert set(omsqueeze.__all__) == names
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES[1:] if m != "omsqueeze.cli"])
+def test_every_library_module_lists_its_names(name):
+    assert hasattr(importlib.import_module(name), "__all__")

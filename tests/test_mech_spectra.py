@@ -22,9 +22,8 @@ from omsqueeze import (
 )
 
 from omsqueeze import mech_spectra
-from omsqueeze.stability import MARGINAL_EPS
 
-from conftest import draw_low_damping_params, draw_stable_params
+from conftest import draw_low_damping_params, draw_near_marginal_params, draw_stable_params
 
 # the order of the rows of mech_spectra._mirror_rows, then the denominator
 COEFF_NAMES = ("A1", "B1", "E1", "F1", "A2", "B2", "E2", "F2", "den")
@@ -295,36 +294,18 @@ class TestGuards:
             quadrature_variances(solve_steady_state(p), p)
 
 
-def draw_near_marginal_params(rng):
-    """A working point whose slowest decay rate may lie just above
-    MARGINAL_EPS: a mirror damped at 10^U(-12.5, -9) kappa at any coupling,
-    gain, phase and temperature, or a bare cavity 10^U(-12, -8) kappa below
-    the parametric threshold."""
-    theta = float(rng.uniform(0.0, 2.0 * math.pi))
-    temperature = float(rng.choice([0.0, 0.02]))
-    if rng.uniform() < 0.5:
-        return SystemParams(gamma_m=float(10.0 ** rng.uniform(-12.5, -9.0)),
-                            cooperativity=float(10.0 ** rng.uniform(-2.0, 4.0)),
-                            G=float(rng.uniform(0.0, 0.5)), theta=theta,
-                            temperature=temperature)
-    return SystemParams(gamma_m=float(10.0 ** rng.uniform(-5.0, -2.0)),
-                        cooperativity=0.0,
-                        G=float(0.5 - 10.0 ** rng.uniform(-12.0, -8.0)),
-                        theta=theta, temperature=temperature)
-
-
 class TestNextToTheMargin:
     def test_stable_points_integrate_and_match_lyapunov(self):
-        # decay rates in (MARGINAL_EPS, 1e-9) kappa are stable by
-        # routh_hurwitz, and the mesh graded at the drift poles integrates
-        # them; the Lyapunov gate refuses most bare-cavity points there
+        # decay rates below 1e-9 kappa that routh_hurwitz calls stable:
+        # the mesh graded at the drift poles integrates them; the Lyapunov
+        # gate refuses most bare-cavity points there
         rng = np.random.default_rng(15)
         kept = compared = 0
         while kept < 100:
             p = draw_near_marginal_params(rng)
             ss = solve_steady_state(p)
-            rate = routh_hurwitz(p, ss).decay_rate
-            if not MARGINAL_EPS * p.kappa < rate < 1e-9 * p.kappa:
+            report = routh_hurwitz(p, ss)
+            if not (report.stable and report.decay_rate < 1e-9 * p.kappa):
                 continue
             kept += 1
             pair = quadrature_variances(ss, p)

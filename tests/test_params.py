@@ -62,6 +62,15 @@ class TestThermalOccupation:
         assert thermal_occupation(omega, temp) == pytest.approx(
             k * temp / (hbar * omega), rel=1e-3)
 
+    @pytest.mark.parametrize("omega", [0.0, -OMEGA_M_PHYS], ids=["zero", "negative"])
+    def test_non_positive_frequency_rejected(self, omega):
+        with pytest.raises(ValueError, match="frequency"):
+            thermal_occupation(omega, 0.01)
+
+    def test_negative_temperature_rejected(self):
+        with pytest.raises(ValueError, match="temperature"):
+            thermal_occupation(OMEGA_M_PHYS, -1.0)
+
     def test_constants_are_the_exact_si_values(self):
         from scipy.constants import hbar, k
         assert params.hbar == hbar
@@ -138,6 +147,26 @@ class TestSteadyState:
         p_coop = SystemParams(gamma_m=1e-5, cooperativity=coop)
         ss_coop = solve_steady_state(p_coop)
         assert abs(ss_coop.g) == pytest.approx(abs(ss_pow.g), rel=1e-9)
+
+    def test_laser_power_is_the_epsilon_it_implies(self):
+        # P watts at omega_l = omega_c_phys - delta kappa_phys drive at
+        # eps = sqrt(2 kappa_phys P / (hbar omega_l)) / kappa_phys
+        kappa_phys, power = 2 * math.pi * 3.6e5, 1e-9
+        p = SystemParams(gamma_m=1e-5, laser_power=power, kappa_phys=kappa_phys, g0=1e-4)
+        omega_l = p.omega_c_phys - p.delta * kappa_phys
+        eps = math.sqrt(2.0 * kappa_phys * power / (params.hbar * omega_l)) / kappa_phys
+        ss = solve_steady_state(p)
+        ref = solve_steady_state(SystemParams(gamma_m=1e-5, epsilon_l=eps, g0=1e-4))
+        assert (ss.c_s, ss.g, ss.residual) == (ref.c_s, ref.g, ref.residual)
+
+    def test_laser_frequency_must_stay_positive(self):
+        # a detuning past omega_c_phys / kappa_phys puts the laser at or
+        # below zero frequency
+        kappa_phys = 2 * math.pi * 3.6e5
+        p = SystemParams(gamma_m=1e-5, laser_power=1e-9, kappa_phys=kappa_phys,
+                         g0=1e-4, detuning=OMEGA_C_PHYS / kappa_phys + 1.0)
+        with pytest.raises(ValueError, match="laser frequency"):
+            solve_steady_state(p)
 
     def test_strong_backaction_takes_the_unique_cubic_root(self):
         # strong backaction pushes the detuning through zero; the cubic

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from omsqueeze import QuadratureFailure, integrate_line
+from omsqueeze import QuadratureFailure, integrate_line, quadrature
 from omsqueeze.quadrature import _eval_panels
 
 
@@ -53,9 +53,10 @@ class TestIntegrateLine:
             return 0.01 / ((x - 3.0) ** 2 + 1e-4) + 0.01 / ((x + 7.0) ** 2 + 1e-4)
         assert integrate_line(f) == pytest.approx(2 * math.pi, rel=1e-7)
 
-    def test_tolerance_is_honored(self):
+    def test_tolerance_is_honored(self, monkeypatch):
         for tol in (1e-6, 1e-9, 1e-11):
-            got = integrate_line(lambda x: np.exp(-x * x), abs_tol=tol)
+            monkeypatch.setattr(quadrature, "_ABS_TOL", tol)
+            got = integrate_line(lambda x: np.exp(-x * x))
             assert abs(got - math.sqrt(math.pi)) < 10 * tol
 
     @given(st.floats(min_value=0.1, max_value=10.0),
@@ -112,14 +113,16 @@ class TestIntegrateLine:
         got = integrate_line(lambda x: np.exp(-x * x), features=[(1e200, 1e-9)])
         assert got == pytest.approx(math.sqrt(math.pi), abs=1e-10)
 
-    def test_panel_cap_raises(self):
+    def test_panel_cap_raises(self, monkeypatch):
         a = 1e-9
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 12)
         with pytest.raises(QuadratureFailure):
-            integrate_line(lambda x: a / (x * x + a * a), max_panels=12)
+            integrate_line(lambda x: a / (x * x + a * a))
 
-    def test_divergent_integrand_raises(self):
+    def test_divergent_integrand_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 60)
         with pytest.raises(QuadratureFailure):
-            integrate_line(lambda x: (1.0 + x * x) ** -0.25, max_panels=60)
+            integrate_line(lambda x: (1.0 + x * x) ** -0.25)
 
     def test_stacked_integrands_match_each_closed_form(self):
         # a smooth and a narrow component share one adaptive pass

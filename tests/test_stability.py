@@ -1,5 +1,6 @@
 """Drift construction and the two independent stability deciders."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,18 @@ import pytest
 
 from omsqueeze import (
     SystemParams,
+    UnstableSystem,
     build_drift,
     eigen_stable,
+    quadrature_variances,
     routh_hurwitz,
     solve_steady_state,
+    steady_covariance,
+    suggest_config,
 )
 from omsqueeze.stability import MARGINAL_EPS
 
-from conftest import draw_stable_params
+from conftest import draw_near_marginal_params, draw_stable_params
 
 
 def quartic_roots(p: SystemParams, g: complex) -> np.ndarray:
@@ -189,3 +194,51 @@ class TestEigenStableGuards:
         M[0, 0] = np.nan
         with pytest.raises(ValueError):
             eigen_stable(M)
+
+
+def rescaled(p: SystemParams, kappa: float) -> SystemParams:
+    """p in units where the cavity decays at ``kappa``: every rate scaled
+    by it, the cooperativity kept."""
+    return dataclasses.replace(p, kappa=kappa * p.kappa, gamma_m=kappa * p.gamma_m,
+                               G=kappa * p.G, omega_m=kappa * p.omega_m)
+
+
+class TestOneMarginalRule:
+    # the three routes draw the line between decaying and marginal at one
+    # place, whatever the unit of the rates
+
+    @pytest.mark.parametrize("kappa", [1e-3, 1.0, 1e3])
+    def test_routes_agree_next_to_the_margin_at_any_kappa(self, kappa):
+        rng = np.random.default_rng(5)
+        verdicts = set()
+        for _ in range(2000):
+            p = rescaled(draw_near_marginal_params(rng), kappa)
+            ss = solve_steady_state(p)
+            dm = build_drift(ss, p)
+            stable = routh_hurwitz(p, ss).stable
+            assert eigen_stable(dm.M) == stable
+            if stable:
+                suggest_config(dm)
+            else:
+                with pytest.raises(UnstableSystem):
+                    suggest_config(dm)
+            verdicts.add(stable)
+        assert verdicts == {False, True}
+
+    @pytest.mark.parametrize("gap, stable", [(5e-14, True), (5e-15, True),
+                                             (5e-16, False)])
+    def test_cavity_next_to_threshold_at_small_kappa(self, gap, stable):
+        # the cavity's x quadrature decays at gap, against a margin of
+        # 1e-12 (kappa + gamma_m/2) = 1.05e-15
+        kappa = 1e-3
+        p = SystemParams(kappa=kappa, gamma_m=1e-4, cooperativity=0.0,
+                         G=(kappa - gap) / 2)
+        ss = solve_steady_state(p)
+        dm = build_drift(ss, p)
+        for route in (lambda: quadrature_variances(ss, p),
+                      lambda: steady_covariance(dm), lambda: suggest_config(dm)):
+            if stable:
+                route()
+            else:
+                with pytest.raises(UnstableSystem):
+                    route()
