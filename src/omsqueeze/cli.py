@@ -632,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("--dt", dict(type=float, help="time step, units of 1/kappa")),
             ("--duration", dict(type=float, help="measured stretch, units of 1/kappa")),
             ("--burn-in", dict(type=float, help="discarded transient, units of 1/kappa")),
-            ("--trajectories", dict(type=int, default=32)),
+            ("--trajectories", dict(type=int, default=SimConfig.n_traj)),
             ("--seed", dict(type=int, default=0)))
     command("validate", cmd_validate,
             "three-way agreement suite (quadrature, Lyapunov, SDE)",

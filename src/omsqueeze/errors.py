@@ -1,8 +1,8 @@
 """Exception types shared across the package."""
 
-__all__ = ["AboveThreshold", "ConfigError", "DivergingTrajectory", "DomainError",
-           "FeedbackUnstable", "ModelError", "NonConvergence", "NonPositiveVariance",
-           "QuadratureFailure", "SingularSolve", "UnstableSystem", "ZeroCoupling"]
+__all__ = ["AboveThreshold", "ConfigError", "DomainError", "FeedbackUnstable",
+           "ModelError", "NonConvergence", "NonPositiveVariance", "QuadratureFailure",
+           "SingularSolve", "UnstableSystem", "ZeroCoupling"]
 
 
 class ModelError(Exception):
@@ -39,10 +39,6 @@ class FeedbackUnstable(ValueError):
 
 class AboveThreshold(ValueError):
     """Parametric gain at or beyond the cavity threshold G = kappa/2."""
-
-
-class DivergingTrajectory(ModelError):
-    """A simulated trajectory exceeded the divergence guard (transient growth of the drift)."""
 
 
 class SingularSolve(ModelError):

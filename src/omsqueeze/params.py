@@ -93,8 +93,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
 class SystemParams:
     """Immutable bundle of model parameters (rates in units of ``kappa``).
 
-    Exactly one drive mode must be given: ``cooperativity``, or a physical
-    drive via ``epsilon_l`` (already normalized to ``kappa``) or
+    Exactly one drive must be given: ``cooperativity``, or a physical
+    drive via either ``epsilon_l`` (already normalized to ``kappa``) or
     ``laser_power`` in watts (requires ``kappa_phys`` in rad/s for the
     conversion). The physical-drive mode also needs ``g0``.
     """
@@ -136,6 +136,8 @@ class SystemParams:
                 "specify exactly one drive mode: cooperativity, or "
                 "epsilon_l / laser_power"
             )
+        if self.epsilon_l is not None and self.laser_power is not None:
+            raise ValueError("give the drive once: epsilon_l or laser_power, not both")
         if has_coop and self.cooperativity < 0:
             raise ValueError("cooperativity must be nonnegative")
         if has_drive:

@@ -95,11 +95,13 @@ def _eval_panels(F, los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.nd
     c = 0.5 * (los + his)
     h = 0.5 * (his - los)
     nodes = c[:, None] + h[:, None] * _XGK[None, :]
-    y = np.asarray(F(nodes.ravel()), dtype=float)
-    y = y.reshape(y.shape[:-1] + nodes.shape)
-    k15 = h * (y @ _WGK)
-    g7 = h * (y @ _WG)
-    return k15, np.abs(k15 - g7)
+    # overflow to inf or nan stays silent: integrate_line refuses it by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.asarray(F(nodes.ravel()), dtype=float)
+        y = y.reshape(y.shape[:-1] + nodes.shape)
+        k15 = h * (y @ _WGK)
+        g7 = h * (y @ _WG)
+        return k15, np.abs(k15 - g7)
 
 
 def integrate_line(f, features=()):

@@ -13,6 +13,10 @@ whose product with the block's one-norm is at most 1/2, doubled k times
 up to dt, so the chain has no discretization bias at any step size.
 Trajectories start from zero and discard a burn-in, so the stationary
 state is reached by the dynamics, never taken from the Lyapunov solution.
+There is no divergence guard: from zero, k exact steps reach covariance
+V - A^k V (A^k)^T <= V, the stationary V less a semidefinite term, so no
+trajectory outgrows its stationary state, however non-normal M is. A huge
+sample means a huge stationary variance, which is the answer.
 
 Because the map is exact, the suggested step follows the slowest rate,
 dt = 1/(2 slowest): resolving the fast modes would only add correlated
@@ -40,14 +44,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DivergingTrajectory, UnstableSystem
+from .errors import ConfigError, UnstableSystem
 from .stability import DriftModel, _decay_rate
 
 __all__ = ["SimConfig", "SimEstimate", "simulate", "suggest_config"]
 
 _N_BATCHES = 32
 _MAX_SEGMENT = 4096          # steps per noise draw, bounds memory
-_DIVERGENCE_LIMIT = 1e6
 _BURN_FACTOR = 10.0          # burn-in floor: this over the slowest rate
 _BATCH_TIME = 6.0            # suggested batch length, slowest relaxation times
 _TAYLOR_TERMS = 18           # exact to rounding once the norm is <= 1/2
@@ -70,7 +73,7 @@ class SimConfig:
     dt: float
     duration: float
     burn_in: float
-    n_traj: int = 64
+    n_traj: int = 32
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -125,7 +128,7 @@ def _slowest(M: np.ndarray, refusal: str) -> float:
     return slowest
 
 
-def suggest_config(dm: DriftModel, seed: int = 0, n_traj: int = 32) -> SimConfig:
+def suggest_config(dm: DriftModel, seed: int = 0, n_traj: int = SimConfig.n_traj) -> SimConfig:
     """Schedule at the slowest time scale: 408 steps at any working point.
 
     The step is half the slowest relaxation time: the step map is exact
@@ -179,22 +182,15 @@ def simulate(dm: DriftModel, cfg: SimConfig) -> SimEstimate:
     """Estimate the stationary variances of rows 0 and 1 (Q and P) by
     trajectory sampling.
 
-    D may be any symmetric positive-semidefinite matrix; anything else
-    raises ValueError. Raises DivergingTrajectory when any component
-    passes 1e6, the symptom of a drift whose transient growth swamps the
-    stationary state.
+    Refuses only what it cannot sample: UnstableSystem for a drift with no
+    stationary state, ConfigError for a burn-in below 10 slowest relaxation
+    times. ``DriftModel`` has already checked D.
     """
     M, D = dm.M, dm.D
     slowest = _slowest(M, "no stationary state to sample")
     burn_floor = _BURN_FACTOR / slowest
     if cfg.burn_in < burn_floor * (1.0 - 1e-12):
         raise ConfigError(f"burn_in={cfg.burn_in} below relaxation floor {burn_floor:.3e}")
-    # rounding-level negative eigenvalues pass; _step_maps clips them
-    scale = 1e-14 * float(np.abs(D).max())
-    if np.abs(D - D.T).max() > scale:
-        raise ValueError("diffusion matrix must be symmetric")
-    if np.linalg.eigvalsh(D)[0] < -scale:
-        raise ValueError("diffusion matrix must be positive semidefinite")
 
     A, B = _step_maps(M, D, cfg.dt)
 
@@ -220,11 +216,6 @@ def simulate(dm: DriftModel, cfg: SimConfig) -> SimEstimate:
             for row in path:
                 row += state @ A.T
                 state = row
-            peak = float(np.abs(path).max())
-            if peak > _DIVERGENCE_LIMIT:
-                raise DivergingTrajectory(
-                    f"|f| reached {peak:.3e}; check the drift for transient growth"
-                )
             qp = path[:, :, :2]
             sq_sum += np.einsum("stk,stk->k", qp, qp)   # 4x faster than (qp ** 2).sum here
         return sq_sum

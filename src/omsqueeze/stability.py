@@ -37,18 +37,25 @@ MARGINAL_EPS = 1e-12
 
 @dataclass(frozen=True)
 class DriftModel:
-    """Drift M (square) and finite diffusion D (same size) of df = M f dt + noise."""
+    """Drift M (square) and diffusion D (same size) of df = M f dt + noise, the
+    one input of ``steady_covariance`` and ``simulate``. D must be finite,
+    symmetric and positive semidefinite up to a rounding margin of 1e-14 max|D|."""
 
     M: np.ndarray
     D: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.M)
+        n, D = len(self.M), self.D
         # both routes report rows 0 and 1, the mirror Q and P
-        if n < 2 or self.M.shape != (n, n) or self.D.shape != (n, n):
+        if n < 2 or self.M.shape != (n, n) or D.shape != (n, n):
             raise ValueError("drift and diffusion must be square, of one size, 2x2 or more")
-        if not np.all(np.isfinite(self.D)):
+        scale = float(np.abs(D).max())   # nan or inf unless D is finite
+        if not math.isfinite(scale):
             raise ValueError("diffusion matrix must be finite")
+        if np.abs(D - D.T).max() > 1e-14 * scale:
+            raise ValueError("diffusion matrix must be symmetric")
+        if np.linalg.eigvalsh(D)[0] < -1e-14 * scale:
+            raise ValueError("diffusion matrix must be positive semidefinite")
 
 
 @dataclass(frozen=True)

@@ -177,13 +177,17 @@ class TestSweeps:
         assert vals == sorted(vals)
         assert vals[1] == pytest.approx(0.3950, abs=2e-3)
 
-    def test_sweep_temperature_flags_an_overflowing_integral(self, tmp_path):
+    def test_sweep_temperature_flags_an_overflowing_integral(self, tmp_path, capsys):
         # the spectra overflow at 5e299 K and 1e300 K: those rows name the
-        # failure the integrator raised, and the table still parses
-        code, path = run(tmp_path, "sweep-temperature", "--gamma-m", "1e-5",
-                         "--cooperativity", "400",
-                         "--range", "0", "1e300", "--points", "3")
+        # failure the integrator raised, and the table still parses; numpy's
+        # overflow warnings on the way there would only be noise on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, path = run(tmp_path, "sweep-temperature", "--gamma-m", "1e-5",
+                             "--cooperativity", "400",
+                             "--range", "0", "1e300", "--points", "3")
         assert code == 0
+        assert "Warning" not in capsys.readouterr().err
         _, rows = read_table(path)
         assert rows[0]["warnings"] == ""
         for row in rows[1:]:
@@ -368,6 +372,15 @@ class TestAnalyticOracleValidate:
         assert code == 0
         assert [r.getMessage() for r in caplog.records
                 if r.getMessage().startswith("sampling ")] == plans
+
+    def test_oracle_at_a_huge_stationary_state(self, tmp_path):
+        # next to threshold the cavity variance is 2.5e11; an exact step
+        # never outgrows it, so nothing may be refused as divergent
+        code, path = run(tmp_path, "oracle", "--gamma-m", "1e-3",
+                         "--cooperativity", "0", "--gain", "0.499999999999")
+        assert code == 0
+        row = read_table(path)[1][0]
+        assert abs(float(row["z_q"])) <= 3.0 and abs(float(row["z_p"])) <= 3.0
 
     def test_oracle_at_a_stiff_point(self, tmp_path):
         # C = 1e12: the schedule of a quarter of the fastest time scale
@@ -595,6 +608,17 @@ class TestExitCodes:
         assert "__init__" not in err
         assert main(["analytic", "--config", str(bad), "--gamma-m", "1e-5",
                      "-o", str(tmp_path / "x.csv")]) == 0
+
+    def test_drive_given_twice(self, tmp_path, capsys):
+        # the result came from epsilon_l alone, while the metadata listed
+        # laser_power as if it had been used
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("gamma_m = 1e-3\nepsilon_l = 800\nlaser_power = 5\n"
+                       "kappa_phys = 1e7\ng0 = 1e-2\n")
+        assert main(["analytic", "--config", str(bad), "-o", str(tmp_path / "x.csv")]) == 1
+        assert "usage error: give the drive once: epsilon_l or laser_power, not both" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_preset(self, capsys):
         assert main(["analytic", "--config", "fig99"]) == 1

@@ -103,6 +103,12 @@ class TestSystemParams:
         with pytest.raises(ValueError, match="finite"):
             SystemParams(**values)
 
+    def test_drive_given_twice_rejected(self):
+        # epsilon_l alone used to win, with laser_power left in the metadata
+        with pytest.raises(ValueError, match="epsilon_l or laser_power, not both"):
+            SystemParams(gamma_m=1e-3, epsilon_l=800.0, laser_power=5.0,
+                         kappa_phys=1e7, g0=1e-2)
+
     def test_power_mode_requires_g0(self):
         with pytest.raises(ValueError):
             SystemParams(gamma_m=1e-5, epsilon_l=1.0)

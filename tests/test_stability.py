@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from omsqueeze import (
+    DriftModel,
     SystemParams,
     UnstableSystem,
     build_drift,
     eigen_stable,
     quadrature_variances,
     routh_hurwitz,
+    simulate,
     solve_steady_state,
     steady_covariance,
     suggest_config,
@@ -65,13 +67,42 @@ class TestBuildDrift:
         assert dm.D[2, 2] == pytest.approx(2.0 * (ss.n_th_c + 0.5), rel=1e-12)
 
     def test_shape_guard(self):
-        from omsqueeze import DriftModel
         with pytest.raises(ValueError):
             DriftModel(M=np.zeros((3, 3)), D=np.zeros((4, 4)))
         # any square size from 2x2 on: rows 0 and 1 are the reported Q and P
         for M in (np.zeros((1, 1)), np.zeros((2, 3))):
             with pytest.raises(ValueError, match="square"):
                 DriftModel(M=M, D=M)
+
+
+class TestDiffusionContract:
+    # DriftModel states what a D may be, once for both time-domain routes
+    @pytest.mark.parametrize("entry, value, message", [
+        ((0, 1), 0.3, "diffusion matrix must be symmetric"),
+        ((1, 1), -0.01, "diffusion matrix must be positive semidefinite"),
+    ], ids=["asymmetric", "indefinite"])
+    def test_both_routes_refuse_the_same_diffusion(self, entry, value, message):
+        # before, the Lyapunov route solved the indefinite D to var_p = 0.288
+        # and called the asymmetric one a failed solve
+        p = SystemParams(gamma_m=1e-2, cooperativity=20.0, G=0.3, theta=0.4)
+        dm = build_drift(solve_steady_state(p), p)
+        D = dm.D.copy()
+        D[entry] = value
+        refusals = []
+        for route in (steady_covariance,
+                      lambda model: simulate(model, suggest_config(dm, n_traj=2))):
+            with pytest.raises(ValueError) as info:
+                route(DriftModel(M=dm.M, D=D))
+            refusals.append((type(info.value), str(info.value)))
+        assert refusals == [(ValueError, message)] * 2
+
+    def test_rounding_level_defects_pass(self):
+        # asymmetry and a negative eigenvalue below 1e-14 max|D| are rounding
+        D = np.diag([1.0, 2.0, 0.0, 0.0])
+        D[0, 1] = 1e-15
+        D[3, 3] = -1e-15
+        model = DriftModel(M=-np.eye(4), D=D)
+        assert steady_covariance(model).var_p == pytest.approx(1.0, rel=1e-12)
 
 
 class TestThetaIndependence:
