@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, FeedbackUnstable
 from .params import SteadyState, SystemParams
 
 __all__ = [
@@ -44,11 +43,11 @@ class AdiabaticInputs:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.G0 < 1.0:
-            raise DomainError(f"G0 must lie in [0, 1), got {self.G0}")
+            raise ValueError(f"G0 must lie in [0, 1), got {self.G0}")
         if self.cooperativity <= 0.0:
-            raise DomainError("cooperativity must be positive")
+            raise ValueError("cooperativity must be positive")
         if not 0.0 <= self.eta <= 4.0 * self.cooperativity:
-            raise FeedbackUnstable(
+            raise ValueError(
                 f"feedback gain {self.eta} outside [0, 4C] = [0, {4 * self.cooperativity}]"
             )
 

@@ -11,8 +11,10 @@ reference against which the coupled system's mechanical squeezing is
 compared: at theta = 0 the intracavity phase quadrature squeezes by the
 same amount the mirror momentum does at the optimal phase.
 
-Below threshold means G < kappa/2; at and above it the intracavity field
-has no stationary state.
+The cavity's 2x2 drift has eigenvalues -(kappa -+ 2G) at any theta and
+-tr(M)/2 = kappa, so it decides by the marginal rule the three routes
+share (``stability._decaying``): the cavity has a stationary state when
+kappa - 2G exceeds 1e-12 kappa, and otherwise raises ``UnstableSystem``.
 """
 from __future__ import annotations
 
@@ -20,19 +22,20 @@ from math import cos, sin, sqrt
 
 import numpy as np
 
-from .errors import AboveThreshold
+from .errors import UnstableSystem
 from .mech_spectra import _two_bath
 from .params import SystemParams, thermal_occupation
 from .quadrature import integrate_line
+from .stability import _decaying
 
 __all__ = ["cavity_spectra", "cavity_variances"]
 
 
-def _threshold_guard(p: SystemParams) -> None:
-    if p.G >= 0.5 * p.kappa:
-        raise AboveThreshold(
-            f"G = {p.G} is at or above the parametric threshold kappa/2 = {0.5 * p.kappa}"
-        )
+def _stationary(p: SystemParams) -> None:
+    rate = p.kappa - 2.0 * p.G   # of the slow mode
+    if not _decaying(rate, p.kappa):
+        raise UnstableSystem(f"no stationary state: cavity decay rate kappa - 2G = "
+                             f"{rate:.3e} is marginal or negative")
 
 
 def _coeff_arrays(omega: np.ndarray, p: SystemParams, optical: float = 1.0):
@@ -57,7 +60,7 @@ def _coeff_arrays(omega: np.ndarray, p: SystemParams, optical: float = 1.0):
 
 def cavity_spectra(omega, p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrized amplitude and phase quadrature spectra (S_x, S_y)."""
-    _threshold_guard(p)
+    _stationary(p)
     om = np.asarray(omega, dtype=float)
     weight = sqrt(thermal_occupation(p.omega_c_phys, p.temperature) + 0.5)
     S_x, S_y = _two_bath(*_coeff_arrays(om.ravel(), p, weight)).reshape((2,) + om.shape)
@@ -70,7 +73,7 @@ def cavity_variances(p: SystemParams) -> tuple[float, float]:
     The narrowest feature is the slow amplitude-phase mode, whose decay
     rate kappa - 2G grades the quadrature mesh.
     """
-    _threshold_guard(p)
+    _stationary(p)
     var_x, var_y = integrate_line(lambda w: np.stack(cavity_spectra(w, p)),
                                   features=[(0.0, p.kappa - 2.0 * p.G)])
     return float(var_x) / (2.0 * np.pi), float(var_y) / (2.0 * np.pi)

@@ -26,7 +26,6 @@ import argparse
 import dataclasses
 import itertools
 import json
-import logging
 import math
 import os
 import sys
@@ -45,13 +44,7 @@ from .adiabatic import (
     feedback_variance_p,
 )
 from .cavity_pa import cavity_variances
-from .errors import (
-    AboveThreshold,
-    ConfigError,
-    ModelError,
-    QuadratureFailure,
-    UnstableSystem,
-)
+from .errors import ConfigError, ModelError, QuadratureFailure, UnstableSystem
 from .lyapunov import Covariance, steady_covariance
 from .mech_spectra import quadrature_variances, spectrum, squeezing_db
 from .output_detection import detection_map, find_band, spectrum_zout
@@ -66,8 +59,6 @@ from .params import (
 )
 from .sde_oracle import SimConfig, simulate, suggest_config
 from .stability import DriftModel, build_drift, routh_hurwitz
-
-_log = logging.getLogger("omsqueeze")
 
 # the model parameter flags: (flag, params_from_mapping keyword, type, help)
 _PARAM_FLAGS = (
@@ -192,8 +183,14 @@ def _write_table(args, columns: list[str], rows: list[tuple],
     finally:
         for handle in handles:
             handle.close()
-    _log.info("wrote %s", path)
+    _info(args, f"wrote {path}")
     return path
+
+
+def _info(args, message: str) -> None:
+    # a progress line on the current stderr, unless --quiet
+    if not getattr(args, "quiet", False):
+        print(f"INFO {message}", file=sys.stderr)
 
 
 def read_table(path) -> tuple[dict[str, str], list[dict[str, str]]]:
@@ -227,7 +224,7 @@ _INTEGRAL_FAILED = "variance integral failed: {}"
 
 def _mech_row(p: SystemParams) -> tuple:
     ss = solve_steady_state(p)
-    warnings = ";".join(rwa_flags(p, ss.g))
+    warnings = ";".join(rwa_flags(p, ss))
     try:
         pair = quadrature_variances(ss, p)
     except UnstableSystem:
@@ -244,11 +241,11 @@ def _mech_row(p: SystemParams) -> tuple:
 def _cavity_row(p: SystemParams) -> tuple:
     try:
         _, var_y = cavity_variances(p)
-    except AboveThreshold:
+    except UnstableSystem:
         return (p.theta, None, None, False, "")
     except QuadratureFailure as exc:
-        # below threshold, but the variance integral fails; keep the sweep
-        # alive and flag the point
+        # stable, but the variance integral fails; keep the sweep alive
+        # and flag the point
         return (p.theta, None, None, True, _INTEGRAL_FAILED.format(exc))
     return (p.theta, var_y, squeezing_db(var_y), True, "")
 
@@ -446,8 +443,8 @@ def cmd_oracle(args) -> int:
         cfg = dataclasses.replace(
             suggest_config(dm, seed=args.seed, n_traj=args.trajectories), **given)
     n_burn, n_meas = cfg.steps()
-    _log.info("sampling %d steps (%d burn-in + %d measured) x %d trajectories "
-              "at dt=%.3e", n_burn + n_meas, n_burn, n_meas, cfg.n_traj, cfg.dt)
+    _info(args, f"sampling {n_burn + n_meas} steps ({n_burn} burn-in + {n_meas} "
+                f"measured) x {cfg.n_traj} trajectories at dt={cfg.dt:.3e}")
     t0 = time.perf_counter()
     est = simulate(dm, cfg)
     elapsed = time.perf_counter() - t0
@@ -556,16 +553,17 @@ _RANGE = dict(nargs=2, metavar=("LO", "HI"))
 def build_parser() -> argparse.ArgumentParser:
     # accepted before and after the subcommand; SUPPRESS keeps a subcommand
     # that was not given the flag from resetting the top-level value
-    logging_flags = argparse.ArgumentParser(add_help=False)
-    logging_flags.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
-                               help="log warnings and errors only")
-    logging_flags.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
-                               help="log debug detail")
+    output_flags = argparse.ArgumentParser(add_help=False)
+    output_flags.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
+                              help="print no progress lines on stderr")
+    output_flags.add_argument("--verbose", action="store_true", default=argparse.SUPPRESS,
+                              help="accepted; no effect (nothing is finer than the "
+                                   "progress lines)")
     parser = _Parser(
         prog="omsqueeze",
         description="Quadrature squeezing of a mirror in a driven cavity "
                     "with an intracavity parametric amplifier.",
-        parents=[logging_flags],
+        parents=[output_flags],
     )
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
@@ -573,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, summary, *flags, params=True, sweep_points=None):
         # the model parameters, then the command's own flags, then output
-        sub = subs.add_parser(name, parents=[logging_flags], help=summary)
+        sub = subs.add_parser(name, parents=[output_flags], help=summary)
         if params:
             group = sub.add_argument_group("model parameters")
             group.add_argument("--config", metavar="PATH",
@@ -646,13 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        level = logging.INFO
-        if getattr(args, "quiet", False):
-            level = logging.WARNING
-        if getattr(args, "verbose", False):
-            level = logging.DEBUG
-        logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
-        _log.setLevel(level)
         return args.func(args)
     except ModelError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

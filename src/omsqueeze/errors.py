@@ -1,8 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
 
-__all__ = ["AboveThreshold", "ConfigError", "DomainError", "FeedbackUnstable",
-           "ModelError", "NonConvergence", "NonPositiveVariance", "QuadratureFailure",
-           "SingularSolve", "UnstableSystem", "ZeroCoupling"]
+An argument the model refuses raises a plain ``ValueError`` (the CLI's
+exit 1, ``ConfigError`` among them); a numerical failure raises a
+``ModelError`` (exit 2).
+"""
+
+__all__ = ["ConfigError", "ModelError", "NonConvergence", "QuadratureFailure",
+           "SingularSolve", "UnstableSystem"]
 
 
 class ModelError(Exception):
@@ -13,32 +17,13 @@ class NonConvergence(ModelError):
     """Steady-state fixed point did not reach the residual target (drive likely bistable)."""
 
 
-class ZeroCoupling(ValueError):
-    """Operation undefined at zero effective optomechanical coupling."""
-
-
 class UnstableSystem(ModelError):
-    """Requested a steady-state quantity for an unstable parameter point."""
+    """The working point has no stationary state: its slowest decay rate
+    fails the marginal rule of ``stability._decaying``."""
 
 
 class QuadratureFailure(ModelError):
     """Adaptive integration could not meet tolerance within the panel cap."""
-
-
-class NonPositiveVariance(ValueError):
-    """dB conversion needs a strictly positive variance."""
-
-
-class DomainError(ValueError):
-    """Closed-form expression evaluated outside its validity domain."""
-
-
-class FeedbackUnstable(ValueError):
-    """Feedback gain beyond the stated stability bound (eta > 4C)."""
-
-
-class AboveThreshold(ValueError):
-    """Parametric gain at or beyond the cavity threshold G = kappa/2."""
 
 
 class SingularSolve(ModelError):
@@ -46,4 +31,5 @@ class SingularSolve(ModelError):
 
 
 class ConfigError(ValueError):
-    """Malformed or unknown entry in a parameter config file (CLI exit code 1)."""
+    """Malformed or unknown entry in a parameter config file or on the
+    command line (CLI exit code 1)."""

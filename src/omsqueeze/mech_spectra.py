@@ -32,7 +32,7 @@ from math import cos, sin, sqrt
 
 import numpy as np
 
-from .errors import NonPositiveVariance, UnstableSystem
+from .errors import UnstableSystem
 from .params import SteadyState, SystemParams
 from .quadrature import integrate_line
 from .stability import routh_hurwitz
@@ -146,5 +146,5 @@ def quadrature_variances(ss: SteadyState, p: SystemParams) -> VariancePair:
 def squeezing_db(variance: float) -> float:
     """Noise reduction below the vacuum level 1/2, in decibels."""
     if variance <= 0.0:
-        raise NonPositiveVariance(f"variance must be positive, got {variance}")
+        raise ValueError(f"variance must be positive, got {variance}")
     return -10.0 * np.log10(variance / 0.5)

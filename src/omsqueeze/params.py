@@ -9,8 +9,9 @@ kelvin and is converted at this boundary using the physical mode
 frequencies ``omega_m_phys`` / ``omega_c_phys`` (angular, rad/s).
 
 The drive is specified either by the dimensionless cooperativity
-``C = |g|^2/(kappa*gamma_m)`` (the default mode, which pins the effective
-detuning to ``omega_m`` and bypasses the nonlinear solve) or by a physical
+``C = |g|^2/(kappa*gamma_m)`` (the default mode, which bypasses the
+nonlinear solve and pins the effective detuning to ``omega_m`` when
+``detuning`` is not given, to ``detuning`` when it is) or by a physical
 laser drive (``epsilon_l`` directly, or laser power in watts plus
 ``kappa_phys``), in which case the coupled steady-state equations reduce
 to a cubic in the intracavity photon number. The solve takes its lowest
@@ -32,7 +33,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, NonConvergence, ZeroCoupling
+from .errors import ConfigError, NonConvergence
 
 __all__ = [
     "SystemParams",
@@ -176,20 +177,23 @@ class SteadyState:
     ambiguous: bool = False
 
 
-def rwa_flags(p: SystemParams, g: complex) -> tuple[str, ...]:
+def rwa_flags(p: SystemParams, ss: SteadyState) -> tuple[str, ...]:
     """Names of the separation-of-scales conditions of the rotating-wave /
-    resolved-sideband treatment that a solved working point fails.
+    resolved-sideband treatment that the working point (p, ss) fails.
 
     These are warnings, never errors: the linear model itself is well
     defined for any stable parameters. The resolved-sideband flag uses the
     fixed factor 10; the remaining "much larger" comparisons use the same
-    factor for uniformity.
+    factor for uniformity. The drift has no detuning term, so a drive off
+    the red sideband (effective detuning away from omega_m by more than
+    kappa/10) is modelled as if it sat on it: ``sideband_resonance``.
     """
     holds = (
         ("resolved_sideband", p.omega_m >= 10.0 * p.kappa),
         ("slow_damping", p.omega_m >= 10.0 * p.gamma_m),
-        ("weak_coupling", p.omega_m >= 10.0 * abs(g)),
+        ("weak_coupling", p.omega_m >= 10.0 * abs(ss.g)),
         ("weak_gain", p.omega_m >= 10.0 * (2.0 * p.G)),
+        ("sideband_resonance", 10.0 * abs(ss.delta_eff - p.omega_m) <= p.kappa),
     )
     return tuple(name for name, ok in holds if not ok)
 
@@ -206,10 +210,10 @@ def _epsilon_from_power(p: SystemParams) -> float:
 def solve_steady_state(p: SystemParams) -> SteadyState:
     """Solve (or construct) the classical steady state for ``p``.
 
-    Cooperativity mode pins the effective detuning to ``omega_m`` and sets
-    ``|g| = sqrt(C*kappa*gamma_m)`` with ``arg(g) = -arctan(delta/kappa)``
-    inherited from the cavity response; ``c_s = g/g0`` holds by
-    construction, so the residual is 0.
+    Cooperativity mode pins the effective detuning to ``p.delta`` (``omega_m``
+    unless ``detuning`` is given) and sets ``|g| = sqrt(C*kappa*gamma_m)``
+    with ``arg(g) = -arctan(delta/kappa)`` inherited from the cavity
+    response; ``c_s = g/g0`` holds by construction, so the residual is 0.
 
     Power mode solves the photon-number cubic and takes its lowest
     positive root n: the branch a drive ramped up from zero settles on.
@@ -266,7 +270,7 @@ def optimal_theta(g: complex) -> float:
     0.1993 rad, close to pi/16.
     """
     if g == 0:
-        raise ZeroCoupling("optimal phase undefined at g = 0")
+        raise ValueError("optimal phase undefined at g = 0")
     return (math.pi + 2.0 * cmath.phase(g)) % (2.0 * math.pi)
 
 

@@ -6,8 +6,6 @@ import pytest
 
 from omsqueeze import (
     AdiabaticInputs,
-    DomainError,
-    FeedbackUnstable,
     SystemParams,
     adiabatic_variance_p,
     adiabatic_variance_p_approx,
@@ -64,29 +62,30 @@ class TestClosedFormVariance:
         # g = 0 is C = 0, which the inputs refuse
         p = SystemParams(gamma_m=1e-5, cooperativity=0.0, G=0.25)
         assert solve_steady_state(p).g == 0
-        with pytest.raises(DomainError, match="cooperativity"):
+        with pytest.raises(ValueError, match="cooperativity must be positive"):
             AdiabaticInputs.from_system(solve_steady_state(p), p)
 
 
 class TestDomainGuards:
     def test_gain_ratio_bounds(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"G0 must lie in \[0, 1\), got 1.0"):
             AdiabaticInputs(G0=1.0, cooperativity=1.0, n_th_m=0.0, n_th_c=0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match=r"G0 must lie in \[0, 1\), got -0.1"):
             AdiabaticInputs(G0=-0.1, cooperativity=1.0, n_th_m=0.0, n_th_c=0.0)
 
     def test_cooperativity_must_be_positive(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="cooperativity must be positive"):
             AdiabaticInputs(G0=0.5, cooperativity=0.0, n_th_m=0.0, n_th_c=0.0)
 
     def test_feedback_gain_window(self):
         kwargs = dict(G0=0.5, cooperativity=100.0, n_th_m=0.0, n_th_c=0.0)
         AdiabaticInputs(eta=400.0, **kwargs)  # boundary 4C is allowed
-        with pytest.raises(FeedbackUnstable):
+        outside = r"feedback gain \S+ outside \[0, 4C\] = \[0, 400.0\]"
+        with pytest.raises(ValueError, match=outside):
             AdiabaticInputs(eta=400.0 + 1e-9, **kwargs)
-        with pytest.raises(FeedbackUnstable):
+        with pytest.raises(ValueError, match=outside):
             AdiabaticInputs(eta=-1e-9, **kwargs)
-        with pytest.raises(FeedbackUnstable):
+        with pytest.raises(ValueError, match=outside):
             AdiabaticInputs(eta=math.nan, **kwargs)
 
 

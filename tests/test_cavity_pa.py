@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from omsqueeze import (
-    AboveThreshold,
+    DriftModel,
     SystemParams,
+    UnstableSystem,
+    build_drift,
     cavity_spectra,
     cavity_variances,
     quadrature_variances,
+    routh_hurwitz,
     solve_steady_state,
+    steady_covariance,
     thermal_occupation,
 )
 from omsqueeze import cavity_pa
@@ -63,7 +67,7 @@ class TestCoeffs:
 
     def test_rejects_threshold(self):
         for G in (0.5, 0.6, 2.0):
-            with pytest.raises(AboveThreshold):
+            with pytest.raises(UnstableSystem):
                 cavity_spectra(0.0, cavity_only(G))
 
 
@@ -125,7 +129,7 @@ class TestVariances:
             assert var_y >= 0.5 - 1e-9
 
     def test_rejects_threshold(self):
-        with pytest.raises(AboveThreshold):
+        with pytest.raises(UnstableSystem):
             cavity_variances(cavity_only(0.5))
 
     def test_one_quadrature_pass_for_both_variances(self, monkeypatch):
@@ -152,6 +156,39 @@ class TestNearThreshold:
                 p = cavity_only(float(row["G_over_kappa"]))
                 assert row["warnings"] == ""
                 assert float(row["var_y"]) == pytest.approx(var_y_theta0(p), rel=1e-11)
+
+    @pytest.mark.parametrize("gap", [2e-12, 1.25e-12, 5e-13, 1e-13])
+    def test_routes_refuse_the_same_points(self, gap):
+        # kappa - 2G = gap kappa at C = 0: the quadrature, routh_hurwitz and
+        # the Lyapunov solve of the cavity's 2x2 drift share one marginal
+        # rule, so they refuse the same points and agree where they do not
+        p = cavity_only(0.5 * (1.0 - gap))
+        ss = solve_steady_state(p)
+        dm = build_drift(ss, p)
+        cavity = DriftModel(M=dm.M[2:, 2:], D=dm.D[2:, 2:])
+        stable = routh_hurwitz(p, ss).stable
+        assert stable == (gap > 1e-12)
+        if stable:
+            assert cavity_variances(p)[1] == pytest.approx(
+                steady_covariance(cavity).V[1, 1], rel=1e-12)
+            return
+        with pytest.raises(UnstableSystem):
+            cavity_variances(p)
+        with pytest.raises(UnstableSystem):
+            steady_covariance(cavity)
+
+    def test_cavity_sweep_refuses_where_the_mirror_sweep_does(self, tmp_path):
+        # the same threshold crossing, once as the empty cavity and once as
+        # the uncoupled mirror's sweep: one stable column
+        grid = ["--range", "0.499999999999", "0.49999999999975", "--points", "3",
+                "--no-timestamp", "--no-jsonl"]
+        cavity, mirror = tmp_path / "cavity.csv", tmp_path / "mirror.csv"
+        assert main(["cavity-sweep", "--config", "fig9", *grid, "-o", str(cavity)]) == 0
+        assert main(["sweep-gain", "--gamma-m", "1e-3", "--cooperativity", "0",
+                     "--theta", "0", *grid, "-o", str(mirror)]) == 0
+        columns = [[row["stable"] for row in read_table(path)[1]]
+                   for path in (cavity, mirror)]
+        assert columns == [["true", "true", "false"]] * 2
 
     def test_closed_form_on_draws_near_threshold(self):
         rng = np.random.default_rng(8)

@@ -4,7 +4,6 @@ import argparse
 import contextlib
 import io
 import json
-import logging
 import math
 import os
 import re
@@ -92,6 +91,16 @@ class TestSweeps:
         cov = steady_covariance(build_drift(solve_steady_state(p), p))
         assert float(grazing["var_q"]) == pytest.approx(cov.var_q, rel=1e-9)
         assert float(grazing["var_p"]) == pytest.approx(cov.var_p, rel=1e-9)
+
+    def test_sweep_gain_flags_a_drive_off_the_sideband(self, tmp_path):
+        # the drift has no detuning term: a drive 190 kappa off the red
+        # sideband is computed as if on it, so every row carries the flag
+        code, path = run(tmp_path, "sweep-gain", "--config", "fig3", "--detuning", "200",
+                         "--range", "0.3", "0.49", "--points", "2")
+        assert code == 0
+        _, rows = read_table(path)
+        assert [(r["stable"], r["warnings"]) for r in rows] == \
+            [("true", "sideband_resonance")] * 2
 
     def test_sweep_gain_flags_a_failed_integral(self, tmp_path, monkeypatch):
         # an integral that misses its budget at one stable point flags that
@@ -342,12 +351,16 @@ class TestAnalyticOracleValidate:
         assert abs(float(rows[0]["z_p"])) <= 3.0
 
     @pytest.mark.parametrize("quiet", [False, True])
-    def test_oracle_logs_its_plan(self, tmp_path, caplog, quiet):
+    def test_oracle_logs_its_plan(self, tmp_path, capsys, quiet):
+        def plans_on_stderr():
+            return [line.removeprefix("INFO ") for line in
+                    capsys.readouterr().err.splitlines()
+                    if line.startswith("INFO sampling ")]
+
         argv = ["oracle", *QUICK_FLAGS, "--trajectories", "2"]
         code, path = run(tmp_path, *argv, *(["--quiet"] if quiet else []))
         assert code == 0
-        plans = [r.getMessage() for r in caplog.records
-                 if r.getMessage().startswith("sampling ")]
+        plans = plans_on_stderr()
         if quiet:
             assert plans == []
             return
@@ -366,12 +379,10 @@ class TestAnalyticOracleValidate:
         recomputed = SimConfig(dt=dt, duration=float(row["duration"]),
                                burn_in=float(row["burn_in"])).steps()
         assert recomputed == (n_burn, n_meas)
-        caplog.clear()
         code, _ = run(tmp_path, *argv, "--dt", row["dt"], "--duration",
                       row["duration"], "--burn-in", row["burn_in"], name="rerun.csv")
         assert code == 0
-        assert [r.getMessage() for r in caplog.records
-                if r.getMessage().startswith("sampling ")] == plans
+        assert plans_on_stderr() == plans
 
     def test_oracle_at_a_huge_stationary_state(self, tmp_path):
         # next to threshold the cavity variance is 2.5e11; an exact step
@@ -620,6 +631,17 @@ class TestExitCodes:
             in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--eta", "2000"], "feedback gain 2000.0 outside [0, 4C] = [0, 1599.9999999999995]"),
+        (["--cooperativity", "0"], "cooperativity must be positive"),
+    ], ids=["eta", "cooperativity"])
+    def test_closed_form_refuses_its_inputs(self, tmp_path, capsys, flags, message):
+        # the closed forms refuse an argument with a plain ValueError: exit 1
+        assert main(["analytic", "--config", "fig3", *flags,
+                     "-o", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_preset(self, capsys):
         assert main(["analytic", "--config", "fig99"]) == 1
         assert "config not found" in capsys.readouterr().err
@@ -761,21 +783,40 @@ class TestFiniteGate:
 
 
 class TestLoggingFlags:
-    @pytest.mark.parametrize("flag, level", [("--quiet", logging.WARNING),
-                                             ("--verbose", logging.DEBUG)])
+    # --quiet drops the progress line; --verbose is accepted and changes
+    # nothing. The ids keep the logging levels (WARNING 30, DEBUG 10) these
+    # flags once set, so each case keeps its name.
+    @pytest.mark.parametrize("flag, stderr", [("--quiet", ""),
+                                              ("--verbose", "INFO wrote {}\n")],
+                             ids=["--quiet-30", "--verbose-10"])
     @pytest.mark.parametrize("before", [True, False])
-    def test_accepted_before_and_after_the_subcommand(self, tmp_path, flag,
-                                                      level, before):
-        argv = ["analytic", "--config", "fig3", "-o", str(tmp_path / "x.csv")]
+    def test_accepted_before_and_after_the_subcommand(self, tmp_path, capsys, flag,
+                                                      stderr, before):
+        path = tmp_path / "x.csv"
+        argv = ["analytic", "--config", "fig3", "-o", str(path)]
         argv = [flag, *argv] if before else [*argv, flag]
         assert main(argv) == 0
-        assert logging.getLogger("omsqueeze").level == level
+        assert capsys.readouterr().err == stderr.format(path)
+
+    def test_each_call_writes_to_its_own_stderr(self, tmp_path):
+        # a progress line goes to the stderr of the call that makes it, also
+        # when one process runs the CLI twice under two different streams
+        sinks = []
+        for name in ("a.csv", "b.csv"):
+            sinks.append(io.StringIO())
+            with contextlib.redirect_stderr(sinks[-1]):
+                assert main(["analytic", "--config", "fig3",
+                             "-o", str(tmp_path / name)]) == 0
+        assert [sink.getvalue() for sink in sinks] == [
+            f"INFO wrote {tmp_path / name}\n" for name in ("a.csv", "b.csv")]
 
 
-@pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "multiprocessing"])
+@pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "multiprocessing",
+                                    "logging"])
 def test_import_leaves_module_out(module):
-    # scipy is a test dependency only and every command runs in one process,
-    # so the runtime needs numpy alone and no process machinery
+    # scipy is a test dependency only, every command runs in one process and
+    # the progress lines are plain prints, so the runtime needs numpy alone,
+    # no process machinery and no logging
     src = Path(omsqueeze.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys, omsqueeze.cli; print({module!r} in sys.modules)"],

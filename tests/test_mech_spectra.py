@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from omsqueeze import (
-    NonPositiveVariance,
     SingularSolve,
     SystemParams,
     UnstableSystem,
@@ -340,9 +339,9 @@ class TestSqueezingDb:
             2.9551989494273267, rel=1e-12)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(NonPositiveVariance):
+        with pytest.raises(ValueError, match="variance must be positive, got 0.0"):
             squeezing_db(0.0)
-        with pytest.raises(NonPositiveVariance):
+        with pytest.raises(ValueError, match="variance must be positive, got -1.0"):
             squeezing_db(-1.0)
 
     @given(st.floats(min_value=1e-6, max_value=1e6))

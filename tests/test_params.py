@@ -10,7 +10,6 @@ from omsqueeze import params
 from omsqueeze import (
     ConfigError,
     SystemParams,
-    ZeroCoupling,
     load_config,
     optimal_theta,
     params_from_mapping,
@@ -209,7 +208,7 @@ class TestOptimalTheta:
         assert abs(optimal_theta(opt_state.g) - math.pi / 16) < 0.003
 
     def test_rejects_zero_coupling(self):
-        with pytest.raises(ZeroCoupling):
+        with pytest.raises(ValueError, match=r"optimal phase undefined at g = 0"):
             optimal_theta(0)
 
     @given(st.floats(min_value=1e-6, max_value=10.0),
@@ -226,11 +225,24 @@ class TestOptimalTheta:
 
 class TestRwaFlags:
     def test_all_ok_at_working_point(self, opt_params, opt_state):
-        assert rwa_flags(opt_params, opt_state.g) == ()
+        assert rwa_flags(opt_params, opt_state) == ()
 
     def test_strong_gain_flagged(self):
         p = SystemParams(gamma_m=1e-5, cooperativity=400.0, G=0.6, omega_m=10.0)
-        assert rwa_flags(p, solve_steady_state(p).g) == ("weak_gain",)
+        assert rwa_flags(p, solve_steady_state(p)) == ("weak_gain",)
+
+    def test_drive_off_the_red_sideband_flagged(self):
+        # the drift has no detuning term, so it models this drive as if it
+        # sat on the sideband: 10 |delta_eff - omega_m| must stay within kappa
+        p = SystemParams(gamma_m=1e-5, cooperativity=400.0, detuning=10.05)
+        assert rwa_flags(p, solve_steady_state(p)) == ()
+        p = SystemParams(gamma_m=1e-5, cooperativity=400.0, detuning=10.2)
+        assert rwa_flags(p, solve_steady_state(p)) == ("sideband_resonance",)
+
+    def test_bistable_drive_flagged_off_the_sideband(self):
+        # the lower branch of this drive sits at delta_eff = 4.36, omega_m = 10
+        p = SystemParams(gamma_m=1e-3, epsilon_l=800.0, g0=1e-2, detuning=5.0)
+        assert "sideband_resonance" in rwa_flags(p, solve_steady_state(p))
 
 
 class TestAngleParsing:
