@@ -4,16 +4,15 @@ intracavity parametric amplifier.
 The package models the linearized fluctuation dynamics of a red-detuned,
 resolved-sideband optomechanical cavity whose field is additionally
 squeezed by a degenerate parametric amplifier, and computes stationary
-quadrature variances three independent ways (spectral integral, Lyapunov
-solve, stochastic trajectories), plus the homodyne spectrum of the output
-field that would detect the squeezing.
+quadrature variances three independent ways (the spectral integral in
+closed form, the Lyapunov solve, stochastic trajectories), plus the
+homodyne spectrum of the output field that would detect the squeezing.
 """
 from . import (adiabatic, cavity_pa, errors, lyapunov, mech_spectra,
-               output_detection, params, quadrature, sde_oracle, stability)
+               output_detection, params, sde_oracle, stability)
 from .errors import *
 from .params import *
 from .stability import *
-from .quadrature import *
 from .lyapunov import *
 from .mech_spectra import *
 from .adiabatic import *
@@ -30,6 +29,6 @@ BACKEND = "python"
 
 # each module's __all__ is the one list of its public names
 __all__ = ["BACKEND", "__version__"] + [
-    name for module in (errors, params, stability, quadrature, lyapunov, mech_spectra,
+    name for module in (errors, params, stability, lyapunov, mech_spectra,
                         adiabatic, output_detection, cavity_pa, sde_oracle)
     for name in module.__all__]

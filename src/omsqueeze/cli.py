@@ -8,8 +8,10 @@ parameters, package version, timestamp unless suppressed), one header
 line, then comma-separated rows. Floats are written with 12 significant
 digits, so identical inputs produce byte-identical files apart from the
 timestamp line. Unstable sweep points stay in the table as flagged rows
-with empty value fields, and so do stable points whose variance integral
-I misses its error budget max(1e-8, 1e-10 |I|) within the panel cap. A
+with empty value fields, and so do stable points whose variance
+overflows to inf or nan. A sweep row names the separation-of-scales
+conditions its point fails (``rwa_flags``) in its ``warnings`` column; a
+command at one working point writes them as ``warnings`` metadata. A
 ``.jsonl`` mirror with the same stem carries the metadata object
 followed by one JSON object per row. Without ``--output`` a command
 writes ``<command>.csv`` in ``--outdir``. An output path that is its own
@@ -44,7 +46,7 @@ from .adiabatic import (
     feedback_variance_p,
 )
 from .cavity_pa import cavity_variances
-from .errors import ConfigError, ModelError, QuadratureFailure, UnstableSystem
+from .errors import ConfigError, ModelError, NonFiniteVariance, UnstableSystem
 from .lyapunov import Covariance, steady_covariance
 from .mech_spectra import quadrature_variances, spectrum, squeezing_db
 from .output_detection import detection_map, find_band, spectrum_zout
@@ -110,6 +112,12 @@ def _params_metadata(p: SystemParams) -> dict[str, object]:
             meta[field.name] = value
     meta["detuning"] = p.delta
     return meta
+
+
+def _point_metadata(p: SystemParams, ss: SteadyState) -> dict[str, object]:
+    # a single working point's metadata: its parameters, and the
+    # separation-of-scales conditions it fails, as a sweep row's warnings
+    return {**_params_metadata(p), "warnings": ";".join(rwa_flags(p, ss))}
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +226,8 @@ def read_table(path) -> tuple[dict[str, str], list[dict[str, str]]]:
 # ---------------------------------------------------------------------------
 # one table row per working point
 
-# warnings cell of a row whose integral raised QuadratureFailure (no comma)
-_INTEGRAL_FAILED = "variance integral failed: {}"
+# warnings cell of a row whose variance raised NonFiniteVariance (no comma)
+_NON_FINITE = "variance not finite: {}"
 
 
 def _mech_row(p: SystemParams) -> tuple:
@@ -229,10 +237,10 @@ def _mech_row(p: SystemParams) -> tuple:
         pair = quadrature_variances(ss, p)
     except UnstableSystem:
         return (None, None, None, False, warnings)
-    except QuadratureFailure as exc:
-        # stable, but the variance integral fails; keep the sweep alive
-        # and flag the point
-        note = _INTEGRAL_FAILED.format(exc)
+    except NonFiniteVariance as exc:
+        # stable, but the variance overflows; keep the sweep alive and
+        # flag the point
+        note = _NON_FINITE.format(exc)
         warnings = f"{warnings};{note}" if warnings else note
         return (None, None, None, True, warnings)
     return (pair.var_q, pair.var_p, squeezing_db(pair.var_p), True, warnings)
@@ -243,10 +251,10 @@ def _cavity_row(p: SystemParams) -> tuple:
         _, var_y = cavity_variances(p)
     except UnstableSystem:
         return (p.theta, None, None, False, "")
-    except QuadratureFailure as exc:
-        # stable, but the variance integral fails; keep the sweep alive
-        # and flag the point
-        return (p.theta, None, None, True, _INTEGRAL_FAILED.format(exc))
+    except NonFiniteVariance as exc:
+        # stable, but the variance overflows; keep the sweep alive and
+        # flag the point
+        return (p.theta, None, None, True, _NON_FINITE.format(exc))
     return (p.theta, var_y, squeezing_db(var_y), True, "")
 
 
@@ -357,15 +365,14 @@ def cmd_spectrum(args) -> int:
     p, ss, omega = _stationary_grid(args)
     sample = spectrum(omega, ss, p)
     rows = list(zip(omega.tolist(), sample.S_Q.tolist(), sample.S_P.tolist()))
-    meta = _params_metadata(p)
-    _write_table(args, ["omega", "S_Q", "S_P"], rows, meta)
+    _write_table(args, ["omega", "S_Q", "S_P"], rows, _point_metadata(p, ss))
     return 0
 
 
 def cmd_detect(args) -> int:
     p, ss, omega = _stationary_grid(args)
     values = spectrum_zout(omega, args.phi, ss, p)
-    meta = _params_metadata(p)
+    meta = _point_metadata(p, ss)
     meta["phi"] = args.phi
     band = find_band(args.phi, ss, p)
     if band is None:
@@ -387,7 +394,7 @@ def cmd_detect_map(args) -> int:
     values = detection_map(omega, phis, ss, p)
     rows = [(w, phi, s) for phi, column in zip(phis.tolist(), values.T.tolist())
             for w, s in zip(omega.tolist(), column)]
-    meta = _params_metadata(p)
+    meta = _point_metadata(p, ss)
     meta["grid"] = f"{args.points}x{args.phi_points}"
     _write_table(args, ["omega", "phi", "S_zout"], rows, meta)
     return 0
@@ -416,8 +423,7 @@ def cmd_analytic(args) -> int:
                "var_p_approx", "eta", "var_p_feedback"]
     rows = [(inp.G0, inp.cooperativity, var_full, var_adiabatic,
              var_approx, eta, var_feedback)]
-    meta = _params_metadata(p)
-    _write_table(args, columns, rows, meta)
+    _write_table(args, columns, rows, _point_metadata(p, ss))
 
     print(f"closed-form variance      {var_adiabatic:.6f} "
           f"({squeezing_db(var_adiabatic):+.3f} dB)")
@@ -434,7 +440,7 @@ def cmd_analytic(args) -> int:
 
 def cmd_oracle(args) -> int:
     p = _load_params(args)
-    _, dm, cov = _lyapunov(p)
+    ss, dm, cov = _lyapunov(p)
     given = {key: getattr(args, key) for key in ("dt", "duration", "burn_in")
              if getattr(args, key) is not None}
     if len(given) == 3:
@@ -457,7 +463,7 @@ def cmd_oracle(args) -> int:
     rows = [(cfg.dt, cfg.duration, cfg.burn_in, cfg.n_traj, cfg.seed,
              est.var_q, est.stderr_q, est.var_p, est.stderr_p,
              cov.var_q, cov.var_p, z_q, z_p)]
-    _write_table(args, columns, rows, _params_metadata(p))
+    _write_table(args, columns, rows, _point_metadata(p, ss))
 
     print(f"{cfg.n_traj} trajectories, dt={cfg.dt:.3e}, {elapsed:.1f}s")
     print(f"var_q = {est.var_q:.6f} +- {est.stderr_q:.2e}   "

@@ -5,7 +5,7 @@ exit 1, ``ConfigError`` among them); a numerical failure raises a
 ``ModelError`` (exit 2).
 """
 
-__all__ = ["ConfigError", "ModelError", "NonConvergence", "QuadratureFailure",
+__all__ = ["ConfigError", "ModelError", "NonConvergence", "NonFiniteVariance",
            "SingularSolve", "UnstableSystem"]
 
 
@@ -22,8 +22,10 @@ class UnstableSystem(ModelError):
     fails the marginal rule of ``stability._decaying``."""
 
 
-class QuadratureFailure(ModelError):
-    """Adaptive integration could not meet tolerance within the panel cap."""
+class NonFiniteVariance(ModelError):
+    """A stationary variance of a stable point came out inf or nan: the
+    working point's spectral coefficients over- or underflow double
+    precision."""
 
 
 class SingularSolve(ModelError):

@@ -20,21 +20,47 @@ sum(|numerator|^2) / |den|^2 with the bath weights folded into the rows:
 one real product of rows and factors and one division per frequency.
 That is the one rule (``_two_bath``) behind every spectrum in the
 package: here, for the homodyne output (output_detection) and, without
-the mirror bath, for the empty cavity (cavity_pa). The roots of den are
-the drift poles, and the variance mesh is graded at every one of them.
+the mirror bath, for the empty cavity (cavity_pa).
+
+The variances are these integrals in closed form. In z = -i omega every
+factor is a real polynomial, each numerator B(z) a real cubic with
+coefficients b0 .. b3, and den the quartic
+z^4 + a3 z^3 + a2 z^2 + a1 z + a0 whose roots are the drift poles, so it
+is Hurwitz at a stable point. Then (1/2pi) int |B|^2/|den|^2 d omega is
+the leading coefficient of the cubic X that solves the 4 x 4 linear
+system B(z)B(-z) = X(z)den(-z) + X(-z)den(z) (James, Nichols and
+Phillips, Theory of Servomechanisms, 1947; Astrom, Introduction to
+Stochastic Control Theory, 1970, ch. 5). Solved by hand, with the Hurwitz
+determinant Delta = a1 a2 a3 - a0 a3^2 - a1^2, it is the sum of squares
+
+    a1 (b2 - b0 a3/a1)^2/(2 Delta) + b0^2/(2 a0 a1)
+        + a3 (b1 - b3 a1/a3)^2/(2 Delta) + b3^2/(2 a3).
+
+den's two quadratic factors s -+ 2Gv = z^2 + p z + q, with
+p = gamma_m/2 + kappa -+ 2G and q = (gamma_m/2)(kappa -+ 2G) + |g|^2,
+are Hurwitz, so every p and q is positive there, and so is each of
+a0 = q- q+, a1 = p- q+ + p+ q-, a3 = p- + p+ and
+Delta = p- p+ ((2 G gamma_m)^2 + a3 a1): formed from the factors, none of
+them cancels, also where Delta -> 0 next to the margin or where the
+factors coincide at G = 0. The weights ``_variance_weights`` map the
+polynomial coefficients of the factors to the four square roots, so a
+variance pair is two small matrix products and a sum of squares. They
+are formed in units of den's root scale a0^(1/4), so no intermediate
+over- or underflows at any unit of the rates. The
+route shares only the factor definitions with the spectra, and no code
+with the drift matrix of the Lyapunov and stochastic routes.
 
 All frequencies are in cavity linewidth units, matching SystemParams.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, sin, sqrt
+from math import cos, isfinite, sin, sqrt
 
 import numpy as np
 
-from .errors import UnstableSystem
+from .errors import NonFiniteVariance, UnstableSystem
 from .params import SteadyState, SystemParams
-from .quadrature import integrate_line
 from .stability import routh_hurwitz
 
 __all__ = [
@@ -44,6 +70,10 @@ __all__ = [
     "spectrum",
     "squeezing_db",
 ]
+
+# the message of every NonFiniteVariance (no comma: it lands in a CSV cell)
+_OUT_OF_RANGE = "the spectral coefficients leave the double-precision range"
+
 
 @dataclass(frozen=True)
 class SpectrumSample:
@@ -122,25 +152,68 @@ def spectrum(omega, ss: SteadyState, p: SystemParams) -> SpectrumSample:
     return SpectrumSample(omega=om, S_Q=S_Q, S_P=S_P)
 
 
+def _factor_polynomials(ss: SteadyState, p: SystemParams) -> np.ndarray:
+    """Coefficients of z^0 .. z^3 (columns) of the factors s, v, T and 1
+    (rows) of ``_factors`` in z = -i omega, with t = (kappa - 2G)(kappa + 2G)."""
+    k, h, g2 = p.kappa, 0.5 * p.gamma_m, abs(ss.g) ** 2
+    t = (k - 2.0 * p.G) * (k + 2.0 * p.G)
+    return np.array([
+        [k * h + g2, k + h, 1.0, 0.0],
+        [h, 1.0, 0.0, 0.0],
+        [h * t + k * g2, t + 2.0 * k * h + g2, 2.0 * k + h, 1.0],
+        [1.0, 0.0, 0.0, 0.0],
+    ])
+
+
+def _variance_weights(ss: SteadyState, p: SystemParams) -> np.ndarray:
+    """W (4, 4) with (1/2pi) int |B|^2/|den|^2 d omega = |b @ W|^2 for every
+    real cubic B of coefficients b; see the module notes. The forms are
+    evaluated in units of r = a0^(1/4), the geometric mean of den's root
+    magnitudes, where a0 = 1, and row i of W takes r^(i - 7/2) back."""
+    h, g2 = 0.5 * p.gamma_m, abs(ss.g) ** 2
+    lo, hi = p.kappa - 2.0 * p.G, p.kappa + 2.0 * p.G
+    q_lo, q_hi = h * lo + g2, h * hi + g2
+    r = sqrt(sqrt(q_lo) * sqrt(q_hi))
+    rr = r * r
+    p_lo, p_hi, q_lo, q_hi = (h + lo) / r, (h + hi) / r, q_lo / rr, q_hi / rr
+    a1, a3 = p_lo * q_hi + p_hi * q_lo, p_lo + p_hi
+    gap = 2.0 * p.G * p.gamma_m / rr   # q_hi - q_lo, formed without cancellation
+    delta = p_lo * p_hi * (gap * gap + a3 * a1)
+    even, odd = sqrt(0.5 * a1 / delta), sqrt(0.5 * a3 / delta)
+    r3 = 1.0 / sqrt(r)           # r^(i - 7/2) for i = 3, 2, 1, 0
+    r2 = r3 / r
+    r1 = r2 / r
+    r0 = r1 / r
+    return np.array([
+        [sqrt(0.5 / a1) * r0, -a3 / a1 * even * r0, 0.0, 0.0],
+        [0.0, 0.0, odd * r1, 0.0],
+        [0.0, even * r2, 0.0, 0.0],
+        [0.0, 0.0, -a1 / a3 * odd * r3, sqrt(0.5 / a3) * r3],
+    ])
+
+
 def quadrature_variances(ss: SteadyState, p: SystemParams) -> VariancePair:
-    """Stationary quadrature variances by integrating the spectra.
+    """Stationary quadrature variances, the integrals of S_Q and S_P over
+    the line, in closed form (see the module notes).
 
-    S_Q and S_P are integrated together in one adaptive pass, on a mesh
-    graded at every drift pole. Raises UnstableSystem exactly when
-    ``routh_hurwitz`` calls the point unstable, and QuadratureFailure when
-    the integral misses its error budget within the panel cap.
+    Raises UnstableSystem exactly when ``routh_hurwitz`` calls the point
+    unstable, and NonFiniteVariance when the forms leave the range of
+    double precision.
     """
-    report = routh_hurwitz(p, ss)
-    if not report.stable:
+    if not routh_hurwitz(p, ss).stable:
         raise UnstableSystem("no stationary state: stability conditions violated")
-
-    def f(om: np.ndarray) -> np.ndarray:
-        s = spectrum(om, ss, p)
-        return np.stack([s.S_Q, s.S_P])
-
-    poles = [(lam.imag, -lam.real) for lam in report.poles]
-    var_q, var_p = integrate_line(f, features=poles) / (2.0 * np.pi)
-    return VariancePair(var_q=float(var_q), var_p=float(var_p))
+    rows = _mirror_rows(ss, p, sqrt(ss.n_th_c + 0.5), sqrt(ss.n_th_m + 0.5))
+    # overflow to inf or nan stays silent: the check below refuses it by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            weights = _variance_weights(ss, p)
+        except ZeroDivisionError:   # a form underflows, at absurd parameters
+            raise NonFiniteVariance(_OUT_OF_RANGE) from None
+        roots = rows.reshape(8, 4) @ _factor_polynomials(ss, p) @ weights
+        var_q, var_p = (roots * roots).reshape(2, 16).sum(axis=1).tolist()
+    if not (isfinite(var_q) and isfinite(var_p)):
+        raise NonFiniteVariance(_OUT_OF_RANGE)
+    return VariancePair(var_q=var_q, var_p=var_p)
 
 
 def squeezing_db(variance: float) -> float:

@@ -1,5 +1,6 @@
 """Empty-cavity parametric amplifier reference."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from omsqueeze import (
     steady_covariance,
     thermal_occupation,
 )
-from omsqueeze import cavity_pa
 from omsqueeze.cavity_pa import _coeff_arrays
 from omsqueeze.cli import main, read_table
 
@@ -34,6 +34,16 @@ def var_y_theta0(p: SystemParams) -> float:
     contour integral of its Lorentzian, kappa (n_c + 1/2) / (kappa + 2G)."""
     nc = thermal_occupation(p.omega_c_phys, p.temperature) + 0.5
     return p.kappa * nc / (p.kappa + 2.0 * p.G)
+
+
+def eigenmode_variances(p: SystemParams) -> tuple[float, float]:
+    """(var_x, var_y) at any theta from the drift's eigenmodes: the modes
+    at angles theta/2 and theta/2 + pi/2 decay at kappa -+ 2G, each with
+    variance kappa (n_c + 1/2) over its rate."""
+    nc = thermal_occupation(p.omega_c_phys, p.temperature) + 0.5
+    slow, fast = p.kappa * nc / (p.kappa - 2.0 * p.G), p.kappa * nc / (p.kappa + 2.0 * p.G)
+    c2, s2 = math.cos(p.theta / 2) ** 2, math.sin(p.theta / 2) ** 2
+    return c2 * slow + s2 * fast, s2 * slow + c2 * fast
 
 
 def cavity_coeffs(omega: float, p: SystemParams) -> dict:
@@ -117,6 +127,16 @@ class TestVariances:
         assert var_x == pytest.approx(0.5, rel=1e-8)
         assert var_y == pytest.approx(0.5, rel=1e-8)
 
+    @pytest.mark.parametrize("kappa", [1e-150, 1e-30, 1e30, 1e150])
+    def test_any_unit_of_the_rates(self, kappa):
+        # every rate times kappa leaves the variances as they are
+        for G, theta in [(0.0, 0.0), (0.3, 0.5), (0.49, 1.2)]:
+            p = cavity_only(G, theta=theta)
+            scaled = dataclasses.replace(p, kappa=kappa, gamma_m=kappa * p.gamma_m,
+                                         G=kappa * G, omega_m=kappa * p.omega_m)
+            np.testing.assert_allclose(cavity_variances(scaled), cavity_variances(p),
+                                       rtol=1e-14, atol=0)
+
     def test_uncertainty_product(self):
         for G, theta in [(0.1, 0.0), (0.3, 0.5), (0.45, math.pi / 2),
                          (0.49, math.pi / 16)]:
@@ -132,19 +152,10 @@ class TestVariances:
         with pytest.raises(UnstableSystem):
             cavity_variances(cavity_only(0.5))
 
-    def test_one_quadrature_pass_for_both_variances(self, monkeypatch):
-        calls = []
-        engine = cavity_pa.integrate_line
-        monkeypatch.setattr(cavity_pa, "integrate_line",
-                            lambda f, **kw: calls.append(f) or engine(f, **kw))
-        cavity_variances(cavity_only(0.3, theta=0.5))
-        assert len(calls) == 1
-
 
 class TestNearThreshold:
     # the factored denominator (u - 2G)(u + 2G) stays accurate as
-    # G -> kappa/2, and the budget relative to the variance lets the
-    # integral converge where kappa - 2G is 1e-6 and var_x about 5e5
+    # G -> kappa/2, where var_x grows like 1/(kappa - 2G)
     def test_cavity_sweep_next_to_threshold(self, tmp_path):
         path = tmp_path / "x.csv"
         for lo, hi in (("0.49998", "0.49999"), ("0.49", "0.499999475")):
@@ -159,7 +170,7 @@ class TestNearThreshold:
 
     @pytest.mark.parametrize("gap", [2e-12, 1.25e-12, 5e-13, 1e-13])
     def test_routes_refuse_the_same_points(self, gap):
-        # kappa - 2G = gap kappa at C = 0: the quadrature, routh_hurwitz and
+        # kappa - 2G = gap kappa at C = 0: the closed form, routh_hurwitz and
         # the Lyapunov solve of the cavity's 2x2 drift share one marginal
         # rule, so they refuse the same points and agree where they do not
         p = cavity_only(0.5 * (1.0 - gap))
@@ -176,6 +187,29 @@ class TestNearThreshold:
             cavity_variances(p)
         with pytest.raises(UnstableSystem):
             steady_covariance(cavity)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.2])
+    def test_closed_form_down_to_the_margin(self, theta):
+        # kappa - 2G from 1e-1 down to 2e-12 kappa, just above the marginal
+        # rule, against the eigenmode form at every phase and the contour
+        # value of the phase quadrature at theta = 0. The 2x2 Lyapunov
+        # solve joins where kappa - 2G >= 1e-4: its drift takes cos(theta)
+        # and sin(theta) rounded, whose squares sum to 1 only to 2e-16,
+        # which moves the slow rate by about 1e-16 and the variance by
+        # 1e-16/(kappa - 2G) relative
+        for gap in np.geomspace(1e-1, 2e-12, 23):
+            p = cavity_only(0.5 * (1.0 - float(gap)), theta=theta)
+            var_x, var_y = cavity_variances(p)
+            ref_x, ref_y = eigenmode_variances(p)
+            assert var_x == pytest.approx(ref_x, rel=1e-13)
+            assert var_y == pytest.approx(ref_y, rel=1e-13)
+            if theta == 0.0:
+                assert var_y == pytest.approx(var_y_theta0(p), rel=1e-14)
+            if gap >= 1e-4:
+                dm = build_drift(solve_steady_state(p), p)
+                V = steady_covariance(DriftModel(M=dm.M[2:, 2:], D=dm.D[2:, 2:])).V
+                assert var_x == pytest.approx(V[0, 0], rel=1e-12)
+                assert var_y == pytest.approx(V[1, 1], rel=1e-12)
 
     def test_cavity_sweep_refuses_where_the_mirror_sweep_does(self, tmp_path):
         # the same threshold crossing, once as the empty cavity and once as

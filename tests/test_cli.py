@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 import omsqueeze
 from omsqueeze import (
+    DriftModel,
     ModelError,
-    QuadratureFailure,
     SimConfig,
     SystemParams,
     build_drift,
@@ -102,27 +102,6 @@ class TestSweeps:
         assert [(r["stable"], r["warnings"]) for r in rows] == \
             [("true", "sideband_resonance")] * 2
 
-    def test_sweep_gain_flags_a_failed_integral(self, tmp_path, monkeypatch):
-        # an integral that misses its budget at one stable point flags that
-        # row and the sweep goes on
-        engine = cli.quadrature_variances
-
-        def variances(ss, p):
-            if p.G == 0.2:
-                raise QuadratureFailure("error 1e-07 > tol 1e-08 at 2000 panels")
-            return engine(ss, p)
-        monkeypatch.setattr(cli, "quadrature_variances", variances)
-        code, path = run(tmp_path, "sweep-gain", *OPT_FLAGS,
-                         "--range", "0", "0.4", "--points", "3")
-        assert code == 0
-        _, rows = read_table(path)
-        assert [row["warnings"] for row in rows[::2]] == ["", ""]
-        flagged = rows[1]
-        assert flagged["warnings"] == \
-            "variance integral failed: error 1e-07 > tol 1e-08 at 2000 panels"
-        assert [flagged[key] for key in ("var_q", "var_p", "squeezing_db", "stable")] \
-            == ["", "", "", "true"]
-
     def test_sweep_cooperativity(self, tmp_path):
         code, path = run(tmp_path, "sweep-cooperativity", "--gamma-m", "1e-5",
                          "--cooperativity", "400", "--gain", "0.49",
@@ -187,9 +166,31 @@ class TestSweeps:
         assert vals[1] == pytest.approx(0.3950, abs=2e-3)
 
     def test_sweep_temperature_flags_an_overflowing_integral(self, tmp_path, capsys):
-        # the spectra overflow at 5e299 K and 1e300 K: those rows name the
-        # failure the integrator raised, and the table still parses; numpy's
-        # overflow warnings on the way there would only be noise on stderr
+        # the mirror's thermal occupation overflows to inf at 5e307 K and
+        # 1e308 K: those rows name the failure, and the table still parses;
+        # numpy's overflow warnings on the way there would only be noise on
+        # stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, path = run(tmp_path, "sweep-temperature", "--gamma-m", "1e-5",
+                             "--cooperativity", "400",
+                             "--range", "0", "1e308", "--points", "3")
+        assert code == 0
+        assert "Warning" not in capsys.readouterr().err
+        _, rows = read_table(path)
+        assert rows[0]["warnings"] == ""
+        for row in rows[1:]:
+            assert row["warnings"] == \
+                "variance not finite: the spectral coefficients leave the double-precision range"
+            assert [row[key] for key in ("var_q", "var_p", "squeezing_db", "stable")] \
+                == ["", "", "", "true"]
+
+    def test_sweep_temperature_evaluates_huge_finite_variances(self, tmp_path, capsys):
+        # at 5e299 K and 1e300 K the spectra overflow, but the variances,
+        # about 5e300 and 1e301, do not: the closed form squares their
+        # square roots only. The Lyapunov equation is linear in D, so its
+        # reference is solved at D * 1e-300, where |D|^2 stays finite; the
+        # CSV holds 12 digits
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, path = run(tmp_path, "sweep-temperature", "--gamma-m", "1e-5",
@@ -198,12 +199,14 @@ class TestSweeps:
         assert code == 0
         assert "Warning" not in capsys.readouterr().err
         _, rows = read_table(path)
-        assert rows[0]["warnings"] == ""
         for row in rows[1:]:
-            assert row["warnings"] == \
-                "variance integral failed: integrand returned non-finite values"
-            assert [row[key] for key in ("var_q", "var_p", "squeezing_db", "stable")] \
-                == ["", "", "", "true"]
+            assert (row["stable"], row["warnings"]) == ("true", "")
+            p = SystemParams(gamma_m=1e-5, cooperativity=400.0,
+                             temperature=float(row["temperature_K"]))
+            dm = build_drift(solve_steady_state(p), p)
+            V = steady_covariance(DriftModel(M=dm.M, D=dm.D * 1e-300)).V * 1e300
+            assert float(row["var_q"]) == pytest.approx(V[0, 0], rel=1e-11)
+            assert float(row["var_p"]) == pytest.approx(V[1, 1], rel=1e-11)
 
     def test_cavity_sweep(self, tmp_path):
         code, path = run(tmp_path, "cavity-sweep", "--theta", "0",
@@ -220,26 +223,6 @@ class TestSweeps:
         assert code == 0
         _, rows = read_table(path)
         assert rows[-1]["stable"] == "false" and rows[-1]["var_y"] == ""
-
-    def test_cavity_sweep_flags_a_failed_integral(self, tmp_path, monkeypatch):
-        # an integral that misses its budget below threshold flags that row
-        # and the sweep goes on
-        engine = cli.cavity_variances
-
-        def variances(p):
-            if p.G == 0.499999475:
-                raise QuadratureFailure("error 1e-07 > tol 1e-08 at 2000 panels")
-            return engine(p)
-        monkeypatch.setattr(cli, "cavity_variances", variances)
-        code, path = run(tmp_path, "cavity-sweep", "--config", "fig9",
-                         "--range", "0.49", "0.499999475", "--points", "3")
-        assert code == 0
-        _, rows = read_table(path)
-        assert [row["warnings"] for row in rows[:2]] == ["", ""]
-        last = rows[-1]
-        assert last["warnings"] == \
-            "variance integral failed: error 1e-07 > tol 1e-08 at 2000 panels"
-        assert (last["var_y"], last["squeezing_db"], last["stable"]) == ("", "", "true")
 
 
 class TestGrids:
@@ -312,7 +295,7 @@ class TestAnalyticOracleValidate:
         assert "closed-form variance" in out
 
     def test_analytic_next_to_the_margin(self, tmp_path, capsys):
-        # slowest decay rate about 1e-11 kappa: stable, and integrated
+        # slowest decay rate about 1e-11 kappa: stable, and evaluated
         code, path = run(tmp_path, "analytic", "--gamma-m", "1e-11",
                          "--cooperativity", "1", "--gain", "0.2")
         assert code == 0
@@ -452,9 +435,10 @@ class TestAnalyticOracleValidate:
             [*keys[:-1], "elapsed_s", "passed", "generated_at"]
 
     def test_validate_exits_2_on_a_failed_check(self, tmp_path, capsys, monkeypatch):
-        # a zero threshold no quadrature can meet: that check and the run fail
+        # a negative threshold no relative difference can meet (the closed
+        # form meets zero on some draws): that check and the run fail
         quad, sde = cli._CHECKS
-        monkeypatch.setattr(cli, "_CHECKS", (quad[:3] + (0.0,) + quad[4:], sde))
+        monkeypatch.setattr(cli, "_CHECKS", (quad[:3] + (-1.0,) + quad[4:], sde))
         code, path = run(tmp_path, "validate", "--seed", "3",
                          "--quad-draws", "2", "--sde-draws", "1")
         assert code == 2
@@ -574,6 +558,23 @@ class TestOutputContract:
         from omsqueeze import ConfigError
         with pytest.raises(ConfigError):
             read_table(bad)
+
+
+    @pytest.mark.parametrize("command", ["analytic", "spectrum", "detect",
+                                         "detect-map", "oracle"])
+    def test_single_point_commands_flag_a_drive_off_the_sideband(self, tmp_path, command):
+        # the same flags as a sweep row's warnings, in the metadata; at
+        # fig3 the full model's var_p is 0.467 there, the closed form 0.254
+        extra = {"spectrum": ["--points", "3"], "detect": ["--points", "3"],
+                 "detect-map": ["--points", "3", "--phi-points", "2"],
+                 "oracle": ["--trajectories", "2"]}.get(command, [])
+        argv = [command, "--config", "fig3", *extra]
+        code, path = run(tmp_path, *argv, name="on.csv")
+        assert code == 0
+        assert read_table(path)[0]["warnings"] == ""
+        code, path = run(tmp_path, *argv, "--detuning", "200", name="off.csv")
+        assert code == 0
+        assert read_table(path)[0]["warnings"] == "sideband_resonance"
 
 
 class TestPresets:
@@ -701,9 +702,9 @@ class TestExitCodes:
           "--points", "3"], "non-finite result: band_min_S = nan"),
         (["spectrum", "--gamma-m", "1e-5", "--cooperativity", "1e300",
           "--points", "3"], "non-finite result: S_Q = nan"),
-        # |g|^2 = 1e303 is finite; the spectra it feeds overflow to nan
+        # |g|^2 = 1e303 is finite; the variance forms it feeds underflow
         (["analytic", "--gamma-m", "1e-5", "--cooperativity", "1e308"],
-         "integrand returned non-finite values"),
+         "the spectral coefficients leave the double-precision range"),
     ])
     def test_overflow_is_numerical_failure(self, tmp_path, capsys, argv, message):
         with warnings.catch_warnings():

@@ -142,7 +142,7 @@ class TestEigenvalueOracle:
             dense = np.sort_complex(np.linalg.eigvals(build_drift(ss, p).M))
             closed = quartic_roots(p, ss.g)
             np.testing.assert_allclose(dense, closed, rtol=0, atol=1e-10)
-            # the poles routh_hurwitz reports grade the variance mesh
+            # the poles routh_hurwitz reports and decides on
             reported = np.sort_complex(np.array(routh_hurwitz(p, ss).poles))
             np.testing.assert_allclose(dense, reported, rtol=0, atol=1e-10)
 
