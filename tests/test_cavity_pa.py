@@ -22,6 +22,8 @@ from omsqueeze import (
 from omsqueeze.cavity_pa import _coeff_arrays
 from omsqueeze.cli import main, read_table
 
+from line_quadrature import integrate_line
+
 
 def cavity_only(G: float, theta: float = 0.0,
                 temperature: float = 0.0) -> SystemParams:
@@ -126,6 +128,17 @@ class TestVariances:
         var_x, var_y = cavity_variances(cavity_only(0.0))
         assert var_x == pytest.approx(0.5, rel=1e-8)
         assert var_y == pytest.approx(0.5, rel=1e-8)
+
+    def test_closed_form_matches_the_integrated_spectra(self):
+        # adaptive quadrature of the spectra, its mesh graded at the slow
+        # mode's decay rate kappa - 2G, to its 1e-10 relative budget
+        for G in (0.0, 0.1, 0.3, 0.45, 0.49, 0.499, 0.49999):
+            for theta in (0.0, 0.3, 1.2, 2.5):
+                p = cavity_only(G, theta=theta)
+                integrated = integrate_line(lambda w: np.stack(cavity_spectra(w, p)),
+                                            features=[(0.0, p.kappa - 2.0 * p.G)])
+                np.testing.assert_allclose(cavity_variances(p),
+                                           integrated / (2.0 * np.pi), rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("kappa", [1e-150, 1e-30, 1e30, 1e150])
     def test_any_unit_of_the_rates(self, kappa):

@@ -22,6 +22,7 @@ import omsqueeze
 from omsqueeze import (
     DriftModel,
     ModelError,
+    NonFiniteVariance,
     SimConfig,
     SystemParams,
     build_drift,
@@ -101,6 +102,28 @@ class TestSweeps:
         _, rows = read_table(path)
         assert [(r["stable"], r["warnings"]) for r in rows] == \
             [("true", "sideband_resonance")] * 2
+
+    def test_sweep_gain_flags_a_failed_integral(self, tmp_path, monkeypatch):
+        # a variance that comes out non-finite at one stable point flags
+        # that row and the sweep goes on
+        engine = cli.quadrature_variances
+
+        def variances(ss, p):
+            if p.G == 0.2:
+                raise NonFiniteVariance("the spectral coefficients leave the "
+                                        "double-precision range")
+            return engine(ss, p)
+        monkeypatch.setattr(cli, "quadrature_variances", variances)
+        code, path = run(tmp_path, "sweep-gain", *OPT_FLAGS,
+                         "--range", "0", "0.4", "--points", "3")
+        assert code == 0
+        _, rows = read_table(path)
+        assert [row["warnings"] for row in rows[::2]] == ["", ""]
+        flagged = rows[1]
+        assert flagged["warnings"] == ("variance not finite: the spectral "
+                                       "coefficients leave the double-precision range")
+        assert [flagged[key] for key in ("var_q", "var_p", "squeezing_db", "stable")] \
+            == ["", "", "", "true"]
 
     def test_sweep_cooperativity(self, tmp_path):
         code, path = run(tmp_path, "sweep-cooperativity", "--gamma-m", "1e-5",
@@ -223,6 +246,27 @@ class TestSweeps:
         assert code == 0
         _, rows = read_table(path)
         assert rows[-1]["stable"] == "false" and rows[-1]["var_y"] == ""
+
+    def test_cavity_sweep_flags_a_failed_integral(self, tmp_path, monkeypatch):
+        # a variance that comes out non-finite below threshold flags that
+        # row and the sweep goes on
+        engine = cli.cavity_variances
+
+        def variances(p):
+            if p.G == 0.499999475:
+                raise NonFiniteVariance("the spectral coefficients leave the "
+                                        "double-precision range")
+            return engine(p)
+        monkeypatch.setattr(cli, "cavity_variances", variances)
+        code, path = run(tmp_path, "cavity-sweep", "--config", "fig9",
+                         "--range", "0.49", "0.499999475", "--points", "3")
+        assert code == 0
+        _, rows = read_table(path)
+        assert [row["warnings"] for row in rows[:2]] == ["", ""]
+        last = rows[-1]
+        assert last["warnings"] == ("variance not finite: the spectral "
+                                    "coefficients leave the double-precision range")
+        assert (last["var_y"], last["squeezing_db"], last["stable"]) == ("", "", "true")
 
 
 class TestGrids:

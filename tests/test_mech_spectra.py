@@ -24,6 +24,7 @@ from omsqueeze import (
 from omsqueeze import mech_spectra
 
 from conftest import draw_low_damping_params, draw_near_marginal_params, draw_stable_params
+from line_quadrature import integrate_line
 
 # the order of the rows of mech_spectra._mirror_rows, then the denominator
 COEFF_NAMES = ("A1", "B1", "E1", "F1", "A2", "B2", "E2", "F2", "den")
@@ -46,6 +47,17 @@ def resolvent_spectra(om: float, ss, p) -> tuple[float, float]:
     R_minus = np.linalg.inv(1j * om * eye - dm.M)
     S = R_plus @ dm.D @ R_minus.T
     return float(S[0, 0].real), float(S[1, 1].real)
+
+
+def integrated_variances(ss, p) -> tuple[float, float]:
+    """(var_q, var_p) by adaptive quadrature of the spectra, on a mesh
+    graded at every drift pole; the budget is 1e-10 relative."""
+    def f(om):
+        s = spectrum(om, ss, p)
+        return np.stack([s.S_Q, s.S_P])
+    poles = [(lam.imag, -lam.real) for lam in routh_hurwitz(p, ss).poles]
+    var_q, var_p = integrate_line(f, features=poles) / (2.0 * np.pi)
+    return float(var_q), float(var_p)
 
 
 class TestTransferCoefficients:
@@ -165,6 +177,23 @@ class TestVariances:
             cov = steady_covariance(build_drift(ss, p))
             assert pair.var_q == pytest.approx(cov.var_q, rel=1e-13)
             assert pair.var_p == pytest.approx(cov.var_p, rel=1e-13)
+
+    @pytest.mark.parametrize("draw", [draw_stable_params, draw_low_damping_params])
+    def test_closed_form_matches_the_integrated_spectra(self, draw):
+        # the closed form against the spectra integrated numerically: two
+        # routes that share only the spectra's definition
+        rng = np.random.default_rng(5)
+        checked = 0
+        while checked < 40:
+            p = draw(rng)
+            ss = solve_steady_state(p)
+            if not routh_hurwitz(p, ss).stable:
+                continue
+            checked += 1
+            pair = quadrature_variances(ss, p)
+            var_q, var_p = integrated_variances(ss, p)
+            assert pair.var_q == pytest.approx(var_q, rel=1e-10)
+            assert pair.var_p == pytest.approx(var_p, rel=1e-10)
 
     @pytest.mark.parametrize("G", [0.0, 1e-12])
     def test_repeated_poles_match_lyapunov(self, G):
@@ -303,6 +332,23 @@ class TestNextToTheMargin:
             assert pair.var_q == pytest.approx(cov.var_q, rel=1e-12)
             assert pair.var_p == pytest.approx(cov.var_p, rel=1e-12)
         assert compared >= 40
+
+    def test_closed_form_matches_the_integrated_spectra(self):
+        # the same draws against adaptive quadrature of the spectra, whose
+        # mesh is graded at the drift poles; it meets its 1e-10 budget here
+        rng = np.random.default_rng(15)
+        kept = 0
+        while kept < 100:
+            p = draw_near_marginal_params(rng)
+            ss = solve_steady_state(p)
+            report = routh_hurwitz(p, ss)
+            if not (report.stable and report.decay_rate < 1e-9 * p.kappa):
+                continue
+            kept += 1
+            pair = quadrature_variances(ss, p)
+            var_q, var_p = integrated_variances(ss, p)
+            assert pair.var_q == pytest.approx(var_q, rel=1e-10)
+            assert pair.var_p == pytest.approx(var_p, rel=1e-10)
 
     def test_refused_exactly_when_routh_hurwitz_says_unstable(self):
         rng = np.random.default_rng(16)

@@ -1,4 +1,5 @@
-"""Whole-line adaptive integrator against closed-form integrals."""
+"""The suite's whole-line adaptive integrator against closed-form
+integrals."""
 
 import math
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from omsqueeze import QuadratureFailure, integrate_line, quadrature
-from omsqueeze.quadrature import _eval_panels
+import line_quadrature as quadrature
+from line_quadrature import QuadratureFailure, _eval_panels, integrate_line
 
 
 class TestPanelRule:
