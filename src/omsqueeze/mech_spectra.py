@@ -37,9 +37,10 @@ determinant Delta = a1 a2 a3 - a0 a3^2 - a1^2, it is the sum of squares
         + a3 (b1 - b3 a1/a3)^2/(2 Delta) + b3^2/(2 a3).
 
 den's two quadratic factors s -+ 2Gv = z^2 + p z + q, with
-p = gamma_m/2 + kappa -+ 2G and q = (gamma_m/2)(kappa -+ 2G) + |g|^2,
-are Hurwitz, so every p and q is positive there, and so is each of
-a0 = q- q+, a1 = p- q+ + p+ q-, a3 = p- + p+ and
+p = gamma_m/2 + kappa -+ 2G and q = (gamma_m/2)(kappa -+ 2G) + |g|^2
+(``stability._factor_pairs``, from which ``routh_hurwitz`` also forms
+its conditions), are Hurwitz, so every p and q is positive there, and so
+is each of a0 = q- q+, a1 = p- q+ + p+ q-, a3 = p- + p+ and
 Delta = p- p+ ((2 G gamma_m)^2 + a3 a1): formed from the factors, none of
 them cancels, also where Delta -> 0 next to the margin or where the
 factors coincide at G = 0. The weights ``_variance_weights`` map the
@@ -47,8 +48,9 @@ polynomial coefficients of the factors to the four square roots, so a
 variance pair is two small matrix products and a sum of squares. They
 are formed in units of den's root scale a0^(1/4), so no intermediate
 over- or underflows at any unit of the rates. The
-route shares only the factor definitions with the spectra, and no code
-with the drift matrix of the Lyapunov and stochastic routes.
+route shares only the factor definitions with the spectra and the
+stability decision, and no code with the drift matrix of the Lyapunov
+and stochastic routes.
 
 All frequencies are in cavity linewidth units, matching SystemParams.
 """
@@ -61,7 +63,7 @@ import numpy as np
 
 from .errors import NonFiniteVariance, UnstableSystem
 from .params import SteadyState, SystemParams
-from .stability import routh_hurwitz
+from .stability import _factor_pairs, routh_hurwitz
 
 __all__ = [
     "SpectrumSample",
@@ -170,12 +172,10 @@ def _variance_weights(ss: SteadyState, p: SystemParams) -> np.ndarray:
     real cubic B of coefficients b; see the module notes. The forms are
     evaluated in units of r = a0^(1/4), the geometric mean of den's root
     magnitudes, where a0 = 1, and row i of W takes r^(i - 7/2) back."""
-    h, g2 = 0.5 * p.gamma_m, abs(ss.g) ** 2
-    lo, hi = p.kappa - 2.0 * p.G, p.kappa + 2.0 * p.G
-    q_lo, q_hi = h * lo + g2, h * hi + g2
+    (p_lo, q_lo), (p_hi, q_hi) = _factor_pairs(ss, p)
     r = sqrt(sqrt(q_lo) * sqrt(q_hi))
     rr = r * r
-    p_lo, p_hi, q_lo, q_hi = (h + lo) / r, (h + hi) / r, q_lo / rr, q_hi / rr
+    p_lo, p_hi, q_lo, q_hi = p_lo / r, p_hi / r, q_lo / rr, q_hi / rr
     a1, a3 = p_lo * q_hi + p_hi * q_lo, p_lo + p_hi
     gap = 2.0 * p.G * p.gamma_m / rr   # q_hi - q_lo, formed without cancellation
     delta = p_lo * p_hi * (gap * gap + a3 * a1)

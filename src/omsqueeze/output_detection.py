@@ -16,16 +16,17 @@ optical-input coefficients of the mirror quadratures with a -sqrt(gamma_m)
 prefactor. That structure is kept exactly as derived; it reproduces the
 reference band half-width below, so it is cross-checked, not assumed.
 
-The band search is a scalar bisection to 1e-5 kappa, evaluated in
-batches. Zero and the outward march from 1e-3 kappa, doubling up to 10
-kappa, are one spectrum call; each further call evaluates the 63 interior
-points of the bracket's nested midpoint grid, each 0.5 * (a + b) of its
-neighbours one level up: the floats the next six steps could visit.
-Bisecting on grid indices then compares the same values at the same
-floats as one call per step would, so the edges equal the scalar
-bisection's bit for bit, in about five spectrum calls where one per step
-took up to thirty. The minimum is then read on [0, edge], so it is
-reported at omega >= 0.
+The band search reads S_zout at zero and at 256 geometric points from
+1e-3 kappa to 10 kappa, in one spectrum call. The edge lies in the cell
+just before the first point at or above the vacuum level. Each further
+call evaluates 63 points inside that cell, whose two ends keep the side
+they were found on, and the cell just before the first point at or above
+vacuum among them is the next one, until it is at most 1e-5 kappa wide:
+three refinements at most. The band is thus the connected sub-vacuum
+interval around zero, resolved to the first grid's spacing of 3.7% in
+omega. Where no point of the first grid reaches the vacuum level, the
+10 kappa cap is reported as the edge. The minimum is then read on
+[0, edge], so it is reported at omega >= 0.
 """
 from __future__ import annotations
 
@@ -39,10 +40,15 @@ from .mech_spectra import _combine, _factors, _mirror_rows, _two_bath
 
 __all__ = ["SqueezingBand", "detection_map", "find_band", "spectrum_zout"]
 
-_EDGE_TOL = 1e-5      # bisection tolerance on band edges, units of kappa
-_SEARCH_CAP = 10.0    # outward march limit, units of kappa
+_EDGE_TOL = 1e-5      # width of the last bracket on band edges, units of kappa
+_SEARCH_CAP = 10.0    # the reported edge when no crossing is found, units of kappa
 _VACUUM_MARGIN = 1e-12  # below vacuum by less than this is not a band
-_LEVELS = 6           # bisection steps per spectrum evaluation
+# the first grid of the band search, units of kappa: zero, then 256
+# geometric points from 1e-3 to the cap, in Python floats: np.geomspace
+# at import raised a fresh interpreter's peak memory by about 0.5 MB
+_FIRST_GRID = np.array([0.0] + [1e-3 * (1e3 * _SEARCH_CAP) ** (k / 255)
+                                 for k in range(256)])
+_CELL_POINTS = 65     # points across each bracket, its two ends included
 
 
 @dataclass(frozen=True)
@@ -102,57 +108,37 @@ def spectrum_zout(omega, phi: float, ss: SteadyState, p: SystemParams):
     return _zout(om.ravel(), np.array([phi], dtype=float), ss, p).reshape(om.shape)
 
 
-def _bisect(s, lo: float, hi: float, tol: float) -> float:
-    """Vacuum crossing in (lo, hi) by bisection to ``tol``, ``_LEVELS``
-    steps per call of ``s`` on the bracket's nested midpoint grid (see the
-    module notes)."""
-    n = 2 ** _LEVELS
-    grid = np.empty(n + 1)
-    while hi - lo > tol:
-        grid[0], grid[n] = lo, hi
-        for step in (2 ** k for k in range(_LEVELS, 0, -1)):   # 64, 32, ..., 2
-            grid[step // 2::step] = 0.5 * (grid[:-1:step] + grid[step::step])
-        below = s(grid[1:-1]) < 0.5     # below[k - 1] is at grid[k]
-        i, j = 0, n
-        while j - i > 1 and grid[j] - grid[i] > tol:
-            k = (i + j) // 2
-            if below[k - 1]:
-                i = k
-            else:
-                j = k
-        lo, hi = float(grid[i]), float(grid[j])
-    return 0.5 * (lo + hi)
-
-
 def find_band(phi: float, ss: SteadyState, p: SystemParams) -> SqueezingBand | None:
     """Squeezing band of the output spectrum around zero frequency.
 
     Returns None when the spectrum at omega = 0 is at or above the vacuum
     level, where "at" includes a rounding-dust margin: a passive working
     point evaluates to 0.5 minus a few ulps and must not report a band.
-    Only the connected sub-vacuum interval containing zero is reported; the
-    spectrum is even, so the band is symmetric and the search runs on
-    positive frequencies only. Zero and the whole outward march are one
-    evaluation, and the bisection takes ``_LEVELS`` steps per evaluation.
+    Only the connected sub-vacuum interval containing zero is reported, as
+    resolved by the first grid; its edge is the first vacuum crossing,
+    refined to ``_EDGE_TOL`` kappa, or the ``_SEARCH_CAP`` kappa cap when
+    the first grid finds none (see the module notes). The spectrum is
+    even, so the band is symmetric and the search runs on positive
+    frequencies only.
     """
     def s(w):
         return spectrum_zout(w, phi, ss, p)
 
-    # zero, then outward from 1e-3 kappa doubling up to the cap, in one
-    # evaluation; the first point back at the vacuum level bounds the band
-    cap = _SEARCH_CAP * p.kappa
-    march = [0.0, 1e-3 * p.kappa]
-    while march[-1] < cap:
-        march.append(min(2.0 * march[-1], cap))
-    values = s(np.array(march))
+    grid = p.kappa * _FIRST_GRID
+    values = s(grid)
     if values[0] >= 0.5 - _VACUUM_MARGIN:
         return None
-    above = np.flatnonzero(values >= 0.5)
-    if above.size == 0:
-        edge = cap   # sub-vacuum all the way out; report the cap as the edge
-    else:
-        i = int(above[0])   # at least 1, as the value at zero is below vacuum
-        edge = _bisect(s, march[i - 1], march[i], _EDGE_TOL * p.kappa)
+    edge = _SEARCH_CAP * p.kappa
+    above = values >= 0.5
+    while above.any():
+        i = int(above.argmax())   # the first crossing, at least 1: zero is below
+        lo, hi = grid[i - 1], grid[i]
+        if hi - lo <= _EDGE_TOL * p.kappa:
+            edge = float(0.5 * (lo + hi))
+            break
+        grid = np.linspace(lo, hi, _CELL_POINTS)
+        # lo is below and hi above already; only the interior is evaluated
+        above = np.concatenate(([False], s(grid[1:-1]) >= 0.5, [True]))
 
     grid = np.linspace(0.0, edge, 2049)   # the spectrum is even
     vals = s(grid)

@@ -8,11 +8,14 @@ symmetrized white-noise strengths (the antisymmetric cross-correlations of
 the quadrature noises cancel in symmetrized covariances and carry no
 weight here — see the lyapunov module notes).
 
-Stability is decided two independent ways. ``routh_hurwitz`` reports the
-three explicit inequalities in (kappa, gamma_m, G, |g|), which are exactly
-the nontrivial first-column entries of the Routh table of the quartic
-characteristic polynomial, and decides on the slowest decay rate of that
-quartic, which factors into two closed-form quadratics. ``eigen_stable``
+Stability is decided two independent ways. The characteristic quartic
+z^4 + a3 z^3 + a2 z^2 + a1 z + a0 of the drift factors into two
+quadratics z^2 + p z + q (``_factor_pairs``, which the closed-form
+variances share). ``routh_hurwitz`` forms its three conditions from the
+pairs, free of cancellation: a3 a2 - a1, the Hurwitz determinant
+a1 a2 a3 - a0 a3^2 - a1^2 and a0, all positive exactly where the
+first column of the Routh table is; and it decides on the slowest decay
+rate of the quadratics' roots. ``eigen_stable``
 checks the eigenvalues of a drift of any size by ``_decay_rate``, which
 the sampler shares. Both decide by ``_decaying``, and neither involves
 the parametric phase theta.
@@ -94,14 +97,20 @@ def build_drift(ss: SteadyState, p: SystemParams) -> DriftModel:
     return DriftModel(M=M, D=D)
 
 
-def _poles(kappa: float, gamma_m: float, G: float, g2: float) -> tuple[complex, ...]:
-    """The four roots of the characteristic quartic, from its two factors
-    lam^2 + b lam + c with b = gamma_m/2 + kappa -+ 2G and
-    c = (gamma_m/2)(kappa -+ 2G) + |g|^2."""
+def _factor_pairs(ss: SteadyState, p: SystemParams) -> tuple[tuple[float, float], ...]:
+    """(p-, q-) and (p+, q+) of the characteristic quartic's two factors
+    lam^2 + p lam + q, with p = gamma_m/2 + kappa -+ 2G and
+    q = (gamma_m/2)(kappa -+ 2G) + |g|^2."""
+    h, g2 = 0.5 * p.gamma_m, abs(ss.g) ** 2
+    lo, hi = p.kappa - 2.0 * p.G, p.kappa + 2.0 * p.G
+    return (h + lo, h * lo + g2), (h + hi, h * hi + g2)
+
+
+def _poles(pairs: tuple[tuple[float, float], ...]) -> tuple[complex, ...]:
+    """The four roots of the characteristic quartic, two from each factor
+    of ``pairs``."""
     roots = []
-    for sign in (-1.0, 1.0):
-        b = gamma_m / 2 + kappa + sign * 2 * G
-        c = (gamma_m / 2) * (kappa + sign * 2 * G) + g2
+    for b, c in pairs:
         disc = b * b - 4 * c
         if disc < 0:                  # complex pair
             h = math.sqrt(-disc) / 2
@@ -126,22 +135,23 @@ def routh_hurwitz(p: SystemParams, ss: SteadyState) -> StabilityReport:
     rate passes ``_decaying`` at the scale kappa + gamma_m/2, -tr(M)/2 of
     ``build_drift``'s M, and a rate whose magnitude fails it is flagged
     marginal (and unstable). The conditions differ in dimension, so none
-    of them is compared with a fixed margin.
+    of them is compared with a fixed margin. OverflowError when the
+    factor pairs or the decay rates leave the double-precision range.
     """
-    k, gam, G = p.kappa, p.gamma_m, p.G
-    g2 = abs(ss.g) ** 2
-    t = k ** 2 - 4 * G ** 2
+    pairs = _factor_pairs(ss, p)
+    poles = _poles(pairs)
+    rates = [-lam.real for lam in poles]
+    if not all(map(math.isfinite, [*pairs[0], *pairs[1], *rates])):
+        raise OverflowError("the characteristic quartic leaves the double-precision range")
+    (p_lo, q_lo), (p_hi, q_hi) = pairs
+    a3, a1 = p_lo + p_hi, p_lo * q_hi + p_hi * q_lo
+    gap = 2.0 * p.G * p.gamma_m   # q+ - q-, formed without cancellation
+    c1 = p_lo * q_lo + p_hi * q_hi + p_lo * p_hi * a3   # a3 a2 - a1
+    c2 = p_lo * p_hi * (gap * gap + a3 * a1)            # the Hurwitz determinant
+    c3 = q_lo * q_hi                                    # a0
 
-    c1 = 0.25 * gam ** 3 + 2 * k * t + (2 * k + gam) * (g2 + 2 * k * gam)
-    c2 = (2 * k * gam * t ** 2
-          + ((2 * k + gam) ** 2 * g2 + (4 * k + gam) * k * gam ** 2) * t
-          + (gam ** 3 / 4) * (k * gam ** 2 / 2 + (2 * k + gam) * g2)
-          + k * gam * (2 * k + gam) * (k * gam ** 2 + (2 * k + 1.5 * gam) * g2))
-    c3 = 0.25 * gam ** 2 * t + g2 * (g2 + k * gam)
-
-    poles = _poles(k, gam, G, g2)
-    rate = min(-lam.real for lam in poles)
-    damping = k + gam / 2
+    rate = min(rates)
+    damping = p.kappa + p.gamma_m / 2
     return StabilityReport(stable=_decaying(rate, damping), conditions=(c1, c2, c3),
                            marginal=not _decaying(abs(rate), damping), decay_rate=rate,
                            poles=poles)

@@ -312,7 +312,24 @@ class TestSpectra:
         assert meta["band"] == "present"
         assert float(meta["band_omega_hi"]) == pytest.approx(0.01872,
                                                              abs=1e-4)
-        assert meta["band_min_at"] == "0.00606109428406"
+        assert meta["band_min_at"] == "0.00606998171386"
+
+    def test_detect_band_ends_at_the_first_crossing(self, tmp_path):
+        # sub-vacuum at zero, above vacuum past 2.08 kappa and below it
+        # again further out: the band ends at the first crossing
+        code, path = run(tmp_path, "detect", "--gamma-m", "0.02089727293108898",
+                         "--cooperativity", "366.1640806313087",
+                         "--gain", "0.2868698090881806",
+                         "--theta", "5.015863856875739", "--phi", "pi/2",
+                         "--omega-range", "0", "3", "--points", "13")
+        assert code == 0
+        meta, rows = read_table(path)
+        edge = float(meta["band_omega_hi"])
+        assert edge == pytest.approx(2.0813, abs=1e-4)
+        assert 0.0 <= float(meta["band_min_at"]) <= edge
+        for row in rows:
+            inside = float(row["omega"]) < edge
+            assert (float(row["S_zout"]) < 0.5) == inside
 
     def test_detect_without_band(self, tmp_path):
         code, path = run(tmp_path, "detect", "--gamma-m", "1e-5",

@@ -134,7 +134,7 @@ class TestFindBand:
         assert band is not None
         assert band.half_width == pytest.approx(0.0187227, abs=1e-6)
         assert band.omega_hi == -band.omega_lo
-        assert band.min_S == pytest.approx(0.09776419963918276, rel=1e-9)
+        assert band.min_S == pytest.approx(0.09776419376243099, rel=1e-9)
         assert abs(band.min_at) == pytest.approx(0.006061, abs=1e-4)
 
     def test_spectrum_crosses_vacuum_at_edges(self):
@@ -164,61 +164,98 @@ class TestFindBand:
 
 
 def scalar_band_edge(phi: float, ss, p) -> float | None:
-    """Reference band edge: one spectrum evaluation per search step.
+    """Reference band edge: the first vacuum crossing, one spectrum point
+    per bisection step.
 
-    March outward from 1e-3 kappa, doubling up to 10 kappa, until the
-    spectrum is back at the vacuum level, then bisect to 1e-5 kappa; None
-    when there is no band at zero frequency.
+    Scan zero and 4097 geometric points from 1e-3 kappa to 10 kappa, a grid
+    16 times finer than the search's first grid, for the first point at or
+    above the vacuum level, then bisect the cell before it to 1e-5 kappa;
+    10 kappa when no point of the scan is, None when there is no band at
+    zero frequency.
     """
     def s(w):
-        return float(spectrum_zout(np.float64(w), phi, ss, p))
+        return spectrum_zout(w, phi, ss, p)
 
-    if s(0.0) >= 0.5 - 1e-12:
+    scan = p.kappa * np.concatenate(([0.0], np.geomspace(1e-3, 10.0, 4097)))
+    values = s(scan)
+    if values[0] >= 0.5 - 1e-12:
         return None
-    cap = 10.0 * p.kappa
-    lo, hi = 0.0, 1e-3 * p.kappa
-    while s(hi) < 0.5:
-        lo = hi
-        if hi >= cap:
-            return cap
-        hi = min(2.0 * hi, cap)
+    above = np.flatnonzero(values >= 0.5)
+    if above.size == 0:
+        return 10.0 * p.kappa
+    lo, hi = float(scan[above[0] - 1]), float(scan[above[0]])
     while hi - lo > 1e-5 * p.kappa:
         mid = 0.5 * (lo + hi)
-        if s(mid) < 0.5:
+        if float(s(mid)) < 0.5:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-class TestBatchedBandSearch:
-    PHASES = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
+PHASES = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
 
-    def test_edges_equal_the_scalar_bisection(self, monkeypatch):
+
+@pytest.fixture(scope="module")
+def band_cases():
+    """(phi, ss, p, band) for 250 stable draws of default_rng(5) at four
+    phases, 1,000 cases."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(250):
+        p = draw_stable_params(rng)
+        ss = solve_steady_state(p)
+        cases += [(phi, ss, p, find_band(phi, ss, p)) for phi in PHASES]
+    return cases
+
+
+class TestBatchedBandSearch:
+    def test_edges_match_the_first_crossing_reference(self, band_cases, monkeypatch):
         calls = []
         engine = output_detection.spectrum_zout
         monkeypatch.setattr(output_detection, "spectrum_zout",
                             lambda om, *a: calls.append(np.size(om)) or engine(om, *a))
-        rng = np.random.default_rng(5)
-        cases = bands = 0
-        for _ in range(250):
-            p = draw_stable_params(rng)
-            ss = solve_steady_state(p)
-            for phi in self.PHASES:
-                calls.clear()
-                band = find_band(phi, ss, p)
-                edge = scalar_band_edge(phi, ss, p)
-                cases += 1
-                if edge is None:
-                    assert band is None
-                    continue
-                bands += 1
-                assert (band.omega_lo, band.omega_hi) == (-edge, edge)
-                # the 2049-point grid for the minimum is the last call
-                assert calls[-1] == 2049
-                assert len(calls) - 1 <= 5
-        assert cases == 1000
+        bands = 0
+        for phi, ss, p, _ in band_cases:
+            calls.clear()
+            band = find_band(phi, ss, p)
+            edge = scalar_band_edge(phi, ss, p)
+            if edge is None:
+                assert band is None
+                continue
+            bands += 1
+            assert band.omega_lo == -band.omega_hi
+            assert band.omega_hi == pytest.approx(edge, rel=0.0, abs=1e-5 * p.kappa)
+            # the 2049-point grid for the minimum is the last call
+            assert calls[-1] == 2049
+            assert len(calls) - 1 <= 5
+        assert len(band_cases) == 1000
         assert bands >= 150
+
+    def test_every_band_is_connected(self, band_cases):
+        # the band is the connected sub-vacuum interval around zero: no
+        # stretch at or above the vacuum level inside it, capped or not
+        bands = 0
+        for phi, ss, p, band in band_cases:
+            if band is None:
+                continue
+            bands += 1
+            inside = np.linspace(0.0, band.omega_hi - 1e-5 * p.kappa, 100_000)
+            assert spectrum_zout(inside, phi, ss, p).max() < 0.5
+        assert bands >= 150
+
+    def test_edges_cross_vacuum_by_the_resolvent(self, band_cases):
+        # the second route to S_zout changes sign around 1/2 within 1e-5
+        # kappa of every edge short of the cap
+        checked = 0
+        for phi, ss, p, band in band_cases:
+            if band is None or band.omega_hi == 10.0 * p.kappa:
+                continue
+            checked += 1
+            tol = 1e-5 * p.kappa
+            assert resolvent_zout(band.omega_hi - tol, phi, ss, p) < 0.5
+            assert resolvent_zout(band.omega_hi + tol, phi, ss, p) > 0.5
+        assert checked >= 50
 
     def test_minimum_reported_at_non_negative_frequency(self):
         # S_zout is even, so the minimum is searched on [0, edge]; on a
@@ -236,12 +273,13 @@ class TestBatchedBandSearch:
             assert band.min_S == pytest.approx(
                 float(spectrum_zout(band.min_at, PHASE_QUAD, ss, p)), rel=1e-12)
 
-    def test_fig8_edges_equal_the_scalar_bisection(self):
+    def test_fig8_edge_matches_the_first_crossing_reference(self):
         p = params_from_mapping(_resolve_config("fig8"))
         ss = solve_steady_state(p)
         band = find_band(PHASE_QUAD, ss, p)
         edge = scalar_band_edge(PHASE_QUAD, ss, p)
-        assert (band.omega_lo, band.omega_hi) == (-edge, edge)
+        assert band.omega_lo == -band.omega_hi
+        assert band.omega_hi == pytest.approx(edge, rel=0.0, abs=1e-5 * p.kappa)
 
     def test_edges_scale_with_kappa(self):
         # every rate of fig8 times kappa: the edge is resolved to 1e-5 kappa
@@ -254,30 +292,32 @@ class TestBatchedBandSearch:
             ss = solve_steady_state(p)
             band = find_band(PHASE_QUAD, ss, p)
             edge = scalar_band_edge(PHASE_QUAD, ss, p)
-            assert (band.omega_lo, band.omega_hi) == (-edge, edge)
-            edges.append(edge / kappa)
+            assert band.omega_hi == pytest.approx(edge, rel=0.0, abs=1e-5 * kappa)
+            edges.append(band.omega_hi / kappa)
         assert max(edges) - min(edges) <= 1e-5
 
-    def test_bisection_on_non_monotone_brackets(self):
-        # step functions with 1-7 vacuum crossings in (0, 1): the batched
-        # search takes the scalar bisection's path to whichever crossing
+    def test_refinement_takes_the_first_crossing(self, monkeypatch):
+        # step spectra with 1, 3, 5 or 7 vacuum crossings in one cell of the
+        # first grid, at least one refinement spacing apart: the edge is
+        # the crossing nearest zero, not whichever one a bisection meets
+        ss, p = point(cooperativity=0.0)   # kappa = 1
+        first_grid = output_detection._FIRST_GRID
         rng = np.random.default_rng(15)
         for _ in range(3000):
-            crossings = np.sort(rng.uniform(0.0, 1.0, rng.integers(1, 8)))
-            tol = float(10.0 ** rng.uniform(-10.0, -2.0))
+            i = rng.integers(1, first_grid.size)
+            lo, hi = first_grid[i - 1], first_grid[i]
+            while True:
+                crossings = np.sort(rng.uniform(lo, hi, 2 * rng.integers(0, 4) + 1))
+                if np.diff(crossings).min(initial=hi - lo) > (hi - lo) / 64:
+                    break
 
-            def s(w, crossings=crossings):
+            def s(w, *_, crossings=crossings):
                 # below the vacuum level up to the first crossing, then alternating
                 return np.where(np.searchsorted(crossings, w, side="right") % 2, 1.0, 0.0)
 
-            lo, hi = 0.0, 1.0
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if s(mid) < 0.5:
-                    lo = mid
-                else:
-                    hi = mid
-            assert output_detection._bisect(s, 0.0, 1.0, tol) == 0.5 * (lo + hi)
+            monkeypatch.setattr(output_detection, "spectrum_zout", s)
+            edge = find_band(PHASE_QUAD, ss, p).omega_hi
+            assert abs(edge - crossings[0]) <= 0.5e-5 + 1e-15
 
 
 class TestOneEvaluationPerFrequency:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -217,6 +218,36 @@ class TestStabilityAgreement:
             ss = solve_steady_state(p)
             M = build_drift(ss, p).M
             assert np.max(np.linalg.eigvals(M).real) < -MARGINAL_EPS
+
+
+class TestConditions:
+    @pytest.mark.parametrize("draw", [draw_stable_params, draw_near_marginal_params],
+                             ids=["stable", "near_marginal"])
+    def test_conditions_match_exact_rationals(self, draw):
+        # a3 a2 - a1, the Hurwitz determinant and a0 of the quartic, in
+        # exact arithmetic on the same inputs, to a few ulps also next to
+        # the margin, where kappa^2 - 4G^2 nearly cancels
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            p = draw(rng)
+            ss = solve_steady_state(p)
+            k, h, G = Fraction(p.kappa), Fraction(p.gamma_m) / 2, Fraction(p.G)
+            g2 = Fraction(abs(ss.g) ** 2)
+            a3 = 2 * h + 2 * k
+            a2 = (h + k) ** 2 - 4 * G * G + 2 * g2 + 2 * h * k
+            ql, qh = h * (k - 2 * G) + g2, h * (k + 2 * G) + g2
+            a1, a0 = (h + k - 2 * G) * qh + (h + k + 2 * G) * ql, ql * qh
+            exact = (a3 * a2 - a1, a1 * a2 * a3 - a0 * a3 * a3 - a1 * a1, a0)
+            for got, want in zip(routh_hurwitz(p, ss).conditions, exact):
+                assert got == pytest.approx(float(want), rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize("gamma_m, G", [(1e300, 0.0), (1e308, 0.49), (1e-5, 1e300)],
+                             ids=["rates", "pairs", "gain"])
+    def test_out_of_range_quartic_raises(self, gamma_m, G):
+        # the pairs or a decay rate leave the double-precision range
+        p = SystemParams(gamma_m=gamma_m, cooperativity=1.0, G=G)
+        with pytest.raises(OverflowError, match="double-precision range"):
+            routh_hurwitz(p, solve_steady_state(p))
 
 
 class TestEigenStableGuards:
