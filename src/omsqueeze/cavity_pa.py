@@ -2,13 +2,14 @@
 
 With the optomechanical coupling switched off the cavity quadratures close
 on themselves and their spectra follow from a 2x2 response, evaluated by
-the package's one rule (mech_spectra ``_two_bath``) with the mirror bath
+the package's one rule (mech_spectra ``_spectra``) with the mirror bath
 left out: den times each input coupling is a real combination of
-u = kappa - i omega and 1, and a spectrum is (|A|^2 + |B|^2)(n_c + 1/2)
-with den = (u - 2G)(u + 2G), real and even by construction. This is the
-reference against which the coupled system's mechanical squeezing is
-compared: at theta = 0 the intracavity phase quadrature squeezes by the
-same amount the mirror momentum does at the optimal phase.
+u = kappa + z and 1 in z = -i omega, and a spectrum is
+(|A|^2 + |B|^2)(n_c + 1/2) over den's one factor pair,
+z^2 + 2 kappa z + (kappa - 2G)(kappa + 2G). This is the reference
+against which the coupled system's mechanical squeezing is compared: at
+theta = 0 the intracavity phase quadrature squeezes by the same amount
+the mirror momentum does at the optimal phase.
 
 The cavity's 2x2 drift has eigenvalues -(kappa -+ 2G) at any theta and
 -tr(M)/2 = kappa, so it decides by the marginal rule the three routes
@@ -31,7 +32,7 @@ from math import cos, isfinite, sin, sqrt
 import numpy as np
 
 from .errors import NonFiniteVariance, UnstableSystem
-from .mech_spectra import _OUT_OF_RANGE, _two_bath
+from .mech_spectra import _OUT_OF_RANGE, _spectra
 from .params import SystemParams, thermal_occupation
 from .stability import _decaying
 
@@ -47,7 +48,7 @@ def _stationary(p: SystemParams) -> None:
 
 def _rows(p: SystemParams, optical: float = 1.0) -> np.ndarray:
     """Coefficients of (u, 1) in den times the input couplings of the empty
-    driven cavity, scaled by ``optical``.
+    driven cavity, u = kappa + z, scaled by ``optical``.
 
     Shape (2, 2, 2): (A3, B3) feed the amplitude quadrature, (A4, B4) the
     phase quadrature, and B3 = A4 identically (the same PA cross term
@@ -60,18 +61,6 @@ def _rows(p: SystemParams, optical: float = 1.0) -> np.ndarray:
                      [[0.0, gs], [s2k, -gc]]])
 
 
-def _coeff_arrays(omega: np.ndarray, p: SystemParams, optical: float = 1.0):
-    """den times the input couplings at ``omega``, shape (2, 2, n), and den.
-
-    The denominator u^2 - 4G^2 is formed as (u - 2G)(u + 2G), which keeps
-    its relative accuracy near threshold, where u^2 and 4G^2 nearly cancel.
-    """
-    u = p.kappa - 1j * omega
-    den = (u - 2.0 * p.G) * (u + 2.0 * p.G)
-    rows = _rows(p, optical)
-    return rows[..., :1] * u + rows[..., 1:], den
-
-
 def _weight(p: SystemParams) -> float:
     # sqrt(n_c + 1/2), the optical bath weight of every coupling
     return sqrt(thermal_occupation(p.omega_c_phys, p.temperature) + 0.5)
@@ -81,7 +70,9 @@ def cavity_spectra(omega, p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrized amplitude and phase quadrature spectra (S_x, S_y)."""
     _stationary(p)
     om = np.asarray(omega, dtype=float)
-    S_x, S_y = _two_bath(*_coeff_arrays(om.ravel(), p, _weight(p))).reshape((2,) + om.shape)
+    b = _rows(p, _weight(p)) @ np.array([[p.kappa, 1.0], [1.0, 0.0]])   # (u, 1) to z^0, z^1
+    pair = (2.0 * p.kappa, (p.kappa - 2.0 * p.G) * (p.kappa + 2.0 * p.G))
+    S_x, S_y = _spectra(b, [pair], om.ravel()).reshape((2,) + om.shape)
     return S_x, S_y
 
 

@@ -2,55 +2,55 @@
 
 Solving the linearized Langevin equations by Fourier transform expresses
 each mirror quadrature as a linear combination of the optical and thermal
-input noises. Every parameter is real, so every coupling obeys
-X(-omega) = X(omega)*, and the symmetrized spectrum of a quadrature is
-S = (|A|^2 + |B|^2)(n_c + 1/2) + (|E|^2 + |F|^2)(n_m + 1/2), real and even
-by construction; its integral over the whole line is the variance.
+input noises. The symmetrized spectrum of a quadrature is
+S = (|A|^2 + |B|^2)(n_c + 1/2) + (|E|^2 + |F|^2)(n_m + 1/2); its integral
+over the whole line is the variance.
 
-The couplings share one quartic denominator, and with u = kappa - i omega
-they are built from the complex factors
+In z = -i omega, with the factors
 
-    v = gamma_m/2 - i omega,   s = u v + |g|^2,   T = u s - 4 G^2 v,
-    den = (s - 2Gv)(s + 2Gv),
+    v = gamma_m/2 + z,   u = kappa + z,   s = u v + |g|^2,   T = u s - 4 G^2 v,
 
-den free of the cancellation near threshold that the expanded
-(uv + |g|^2)^2 - 4G^2 v^2 suffers. den times each coupling is a real
-combination of these factors (``_mirror_rows``), so a spectrum is
-sum(|numerator|^2) / |den|^2 with the bath weights folded into the rows:
-one real product of rows and factors and one division per frequency.
-That is the one rule (``_two_bath``) behind every spectrum in the
-package: here, for the homodyne output (output_detection) and, without
-the mirror bath, for the empty cavity (cavity_pa).
+every coupling has the denominator den = (s - 2Gv)(s + 2Gv), whose
+factors z^2 + p z + q, p = gamma_m/2 + kappa -+ 2G and
+q = (gamma_m/2)(kappa -+ 2G) + |g|^2, are the pairs of
+``stability._factor_pairs``; its roots are the drift poles. den times each coupling is a real
+combination of s, v, T and 1 (``_mirror_rows``), so on the factors'
+coefficients (``_factor_polynomials``, t = (kappa - 2G)(kappa + 2G)
+formed as that product) a real cubic. One array of these coefficients,
+bath weights sqrt(n + 1/2) folded in (``_mirror_polynomials``), is what
+the spectra evaluate and the variances integrate.
 
-The variances are these integrals in closed form. In z = -i omega every
-factor is a real polynomial, each numerator B(z) a real cubic with
-coefficients b0 .. b3, and den the quartic
-z^4 + a3 z^3 + a2 z^2 + a1 z + a0 whose roots are the drift poles, so it
-is Hurwitz at a stable point. Then (1/2pi) int |B|^2/|den|^2 d omega is
-the leading coefficient of the cubic X that solves the 4 x 4 linear
-system B(z)B(-z) = X(z)den(-z) + X(-z)den(z) (James, Nichols and
-Phillips, Theory of Servomechanisms, 1947; Astrom, Introduction to
-Stochastic Control Theory, 1970, ch. 5). Solved by hand, with the Hurwitz
+That is the one spectral rule (``_spectra``) behind every spectrum in
+the package, here, for the homodyne output (output_detection) and, on
+its one pair, for the empty cavity (cavity_pa). The even powers of a
+real polynomial give its real part at z = -i omega, a polynomial in
+omega^2, and the odd ones omega times another, its imaginary part up to
+sign, so every spectrum is even bit for bit; each factor of den
+contributes (q - omega^2)^2 + p^2 omega^2, two squares that cannot cancel.
+
+The variances are these integrals in closed form. For a cubic B(z) of
+coefficients b0 .. b3 and den = z^4 + a3 z^3 + a2 z^2 + a1 z + a0,
+Hurwitz at a stable point, (1/2pi) int |B|^2/|den|^2 d omega is the
+leading coefficient of the cubic X that solves the 4 x 4 linear system
+B(z)B(-z) = X(z)den(-z) + X(-z)den(z) (James, Nichols and Phillips,
+Theory of Servomechanisms, 1947; Astrom, Introduction to Stochastic
+Control Theory, 1970, ch. 5). Solved by hand, with the Hurwitz
 determinant Delta = a1 a2 a3 - a0 a3^2 - a1^2, it is the sum of squares
 
     a1 (b2 - b0 a3/a1)^2/(2 Delta) + b0^2/(2 a0 a1)
         + a3 (b1 - b3 a1/a3)^2/(2 Delta) + b3^2/(2 a3).
 
-den's two quadratic factors s -+ 2Gv = z^2 + p z + q, with
-p = gamma_m/2 + kappa -+ 2G and q = (gamma_m/2)(kappa -+ 2G) + |g|^2
-(``stability._factor_pairs``, from which ``routh_hurwitz`` also forms
-its conditions), are Hurwitz, so every p and q is positive there, and so
-is each of a0 = q- q+, a1 = p- q+ + p+ q-, a3 = p- + p+ and
-Delta = p- p+ ((2 G gamma_m)^2 + a3 a1): formed from the factors, none of
+The pairs are Hurwitz there, so every p and q is positive, and so is
+each of a0 = q- q+, a1 = p- q+ + p+ q-, a3 = p- + p+ and
+Delta = p- p+ ((2 G gamma_m)^2 + a3 a1): formed from the pairs, none of
 them cancels, also where Delta -> 0 next to the margin or where the
 factors coincide at G = 0. The weights ``_variance_weights`` map the
-polynomial coefficients of the factors to the four square roots, so a
-variance pair is two small matrix products and a sum of squares. They
-are formed in units of den's root scale a0^(1/4), so no intermediate
-over- or underflows at any unit of the rates. The
-route shares only the factor definitions with the spectra and the
-stability decision, and no code with the drift matrix of the Lyapunov
-and stochastic routes.
+polynomial coefficients to the four square roots, so a variance pair is
+two small matrix products and a sum of squares. They are formed in
+units of den's root scale a0^(1/4), so no intermediate over- or
+underflows at any unit of the rates. The route shares its coefficient
+rows with the spectra and the factor pairs with the stability decision,
+and no code with the drift matrix of the Lyapunov and stochastic routes.
 
 All frequencies are in cavity linewidth units, matching SystemParams.
 """
@@ -91,17 +91,6 @@ class VariancePair:
     var_p: float
 
 
-def _factors(omega, ss: SteadyState, p: SystemParams):
-    """The shared factors (v, s, T, den) at omega; see the module notes."""
-    iw = 1j * omega
-    v = 0.5 * p.gamma_m - iw
-    u = p.kappa - iw
-    s = u * v + abs(ss.g) ** 2
-    T = u * s - (4.0 * p.G * p.G) * v
-    twoP = (2.0 * p.G) * v
-    return v, s, T, (s - twoP) * (s + twoP)
-
-
 def _mirror_rows(ss: SteadyState, p: SystemParams, optical: float = 1.0,
                  thermal: float = 1.0) -> np.ndarray:
     """Coefficients of (s, v, T, 1) in den times each mirror coupling.
@@ -130,33 +119,9 @@ def _mirror_rows(ss: SteadyState, p: SystemParams, optical: float = 1.0,
     ]).reshape(2, 4, 4)
 
 
-def _combine(rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Real ``rows`` (..., k) times complex ``factors`` (k, n), as one real
-    product on the interleaved real and imaginary parts."""
-    out = rows.reshape(-1, rows.shape[-1]) @ factors.view(float)
-    return out.reshape(rows.shape[:-1] + (-1,)).view(complex)
-
-
-def _two_bath(numerators: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """The one spectral rule: numerators (spectra, couplings, n), den times
-    each coupling scaled by sqrt(n + 1/2) of its bath, to spectra (spectra, n)."""
-    sq = (numerators.view(float) ** 2).sum(axis=1)
-    d = den.view(float) ** 2
-    return (sq[:, ::2] + sq[:, 1::2]) / (d[::2] + d[1::2])
-
-
-def spectrum(omega, ss: SteadyState, p: SystemParams) -> SpectrumSample:
-    """Symmetrized spectra S_Q and S_P on a frequency grid."""
-    om = np.atleast_1d(np.asarray(omega, dtype=float))
-    v, s, T, den = _factors(om, ss, p)
-    rows = _mirror_rows(ss, p, sqrt(ss.n_th_c + 0.5), sqrt(ss.n_th_m + 0.5))
-    S_Q, S_P = _two_bath(_combine(rows, np.array([s, v, T, np.ones(om.size)])), den)
-    return SpectrumSample(omega=om, S_Q=S_Q, S_P=S_P)
-
-
 def _factor_polynomials(ss: SteadyState, p: SystemParams) -> np.ndarray:
     """Coefficients of z^0 .. z^3 (columns) of the factors s, v, T and 1
-    (rows) of ``_factors`` in z = -i omega, with t = (kappa - 2G)(kappa + 2G)."""
+    (rows) of the module notes, with t = (kappa - 2G)(kappa + 2G)."""
     k, h, g2 = p.kappa, 0.5 * p.gamma_m, abs(ss.g) ** 2
     t = (k - 2.0 * p.G) * (k + 2.0 * p.G)
     return np.array([
@@ -165,6 +130,41 @@ def _factor_polynomials(ss: SteadyState, p: SystemParams) -> np.ndarray:
         [h * t + k * g2, t + 2.0 * k * h + g2, 2.0 * k + h, 1.0],
         [1.0, 0.0, 0.0, 0.0],
     ])
+
+
+def _mirror_polynomials(ss: SteadyState, p: SystemParams) -> np.ndarray:
+    """Coefficients of z^0 .. z^3 in den times each mirror coupling scaled
+    by sqrt(n + 1/2) of its bath, shape (2, 4, 4): ``_mirror_rows`` on the
+    factor polynomials, which the spectra evaluate and the variances integrate."""
+    rows = _mirror_rows(ss, p, sqrt(ss.n_th_c + 0.5), sqrt(ss.n_th_m + 0.5))
+    return (rows.reshape(8, 4) @ _factor_polynomials(ss, p)).reshape(2, 4, 4)
+
+
+def _spectra(b: np.ndarray, pairs, omega: np.ndarray) -> np.ndarray:
+    """The one spectral rule: sum_k |B_k(z)|^2 / |den(z)|^2 at z = -i omega,
+    for real coefficient rows b (spectra, couplings, powers of z) and
+    den the product of the factors z^2 + p z + q of ``pairs``, on the 1-d
+    grid ``omega``; shape (spectra, n). See the module notes."""
+    w2 = omega * omega
+    k = b.shape[-1]
+    powers = [np.ones_like(w2), -w2]   # (-omega^2)^j
+    while len(powers) < (k + 1) // 2:
+        powers.append(powers[-1] * powers[1])
+    powers = np.array(powers[:(k + 1) // 2])
+    flat = b.reshape(-1, k)
+    re = flat[:, ::2] @ powers
+    im = (flat[:, 1::2] @ powers[:k // 2]) * omega   # the imaginary part, up to its sign
+    den = 1.0
+    for p, q in pairs:
+        den = den * ((q - w2) ** 2 + (p * p) * w2)
+    return (re * re + im * im).reshape(b.shape[:-1] + (-1,)).sum(axis=-2) / den
+
+
+def spectrum(omega, ss: SteadyState, p: SystemParams) -> SpectrumSample:
+    """Symmetrized spectra S_Q and S_P on a frequency grid."""
+    om = np.atleast_1d(np.asarray(omega, dtype=float))
+    S_Q, S_P = _spectra(_mirror_polynomials(ss, p), _factor_pairs(ss, p), om)
+    return SpectrumSample(omega=om, S_Q=S_Q, S_P=S_P)
 
 
 def _variance_weights(ss: SteadyState, p: SystemParams) -> np.ndarray:
@@ -202,14 +202,13 @@ def quadrature_variances(ss: SteadyState, p: SystemParams) -> VariancePair:
     """
     if not routh_hurwitz(p, ss).stable:
         raise UnstableSystem("no stationary state: stability conditions violated")
-    rows = _mirror_rows(ss, p, sqrt(ss.n_th_c + 0.5), sqrt(ss.n_th_m + 0.5))
     # overflow to inf or nan stays silent: the check below refuses it by name
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             weights = _variance_weights(ss, p)
         except ZeroDivisionError:   # a form underflows, at absurd parameters
             raise NonFiniteVariance(_OUT_OF_RANGE) from None
-        roots = rows.reshape(8, 4) @ _factor_polynomials(ss, p) @ weights
+        roots = _mirror_polynomials(ss, p).reshape(8, 4) @ weights
         var_q, var_p = (roots * roots).reshape(2, 16).sum(axis=1).tolist()
     if not (isfinite(var_q) and isfinite(var_p)):
         raise NonFiniteVariance(_OUT_OF_RANGE)

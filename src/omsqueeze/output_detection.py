@@ -4,12 +4,14 @@ The input-output relation c_out = sqrt(2 kappa) c - c_in turns the
 intracavity solution into the travelling field a detector sees. Mixing
 c_out with a local oscillator of phase phi selects one output quadrature;
 its symmetrized spectrum follows the one rule of mech_spectra
-(``_two_bath``), and frequencies where it drops below the vacuum level
+(``_spectra``), and frequencies where it drops below the vacuum level
 1/2 witness the mechanical squeezing in the detected beam. den times each
-output coupling is a real combination of the shared factors: the
-reflections I, R and J of (v s, v P, den) with P = G v, the mirror-noise
-routes of (s, v). The spectrum is real and even by construction, and the
-factors are evaluated once for every phase of a grid.
+output coupling is a real quartic in z = -i omega, built once for every
+phase of a grid from the mirror's factor polynomials and pairs: the
+reflections I, R and J on (2 kappa v s - den, v^2), the mirror-noise
+routes on (s, v). 2 kappa v s - den nearly cancels at omega = 0 next to
+threshold: a spectrum far below vacuum there is off by about
+(1e-16 kappa / (kappa - 2G))^2.
 
 Note the mechanical-noise routes into the output quadrature reuse the
 optical-input coefficients of the mirror quadratures with a -sqrt(gamma_m)
@@ -36,7 +38,8 @@ from math import cos, sin, sqrt
 import numpy as np
 
 from .params import SteadyState, SystemParams
-from .mech_spectra import _combine, _factors, _mirror_rows, _two_bath
+from .mech_spectra import _factor_polynomials, _mirror_rows, _spectra
+from .stability import _factor_pairs
 
 __all__ = ["SqueezingBand", "detection_map", "find_band", "spectrum_zout"]
 
@@ -65,10 +68,10 @@ class SqueezingBand:
         return 0.5 * (self.omega_hi - self.omega_lo)
 
 
-def _output_couplings(omega: np.ndarray, phis: np.ndarray, ss: SteadyState,
-                      p: SystemParams, optical: float = 1.0, thermal: float = 1.0):
-    """den times the output couplings (A_z, B_z, E_z, F_z) at each phase of
-    ``phis`` on the 1-d grid ``omega``, shape (phases, 4, n), and den.
+def _output_couplings(phis: np.ndarray, ss: SteadyState, p: SystemParams,
+                      optical: float = 1.0, thermal: float = 1.0) -> np.ndarray:
+    """Coefficients of z^0 .. z^4 in den times the output couplings
+    (A_z, B_z, E_z, F_z) at each phase of ``phis``, shape (phases, 4, 5).
 
     At phase phi the rows on (2 kappa v s - den, v^2, s, v) are cos(phi)
     times den (I, R, -sqrt(gamma_m) A1, -sqrt(gamma_m) A2) plus sin(phi)
@@ -77,7 +80,6 @@ def _output_couplings(omega: np.ndarray, phis: np.ndarray, ss: SteadyState,
     conjugated, and the mirror's optical-input couplings carry its noise
     out. ``optical`` and ``thermal`` scale the couplings of each bath.
     """
-    v, s, _, den = _factors(omega, ss, p)
     (A1, B1, _, _), (A2, B2, _, _) = _mirror_rows(
         ss, p, optical=-thermal * sqrt(p.gamma_m))[..., :2].tolist()
     q = 4.0 * p.kappa * p.G * optical
@@ -87,16 +89,23 @@ def _output_couplings(omega: np.ndarray, phis: np.ndarray, ss: SteadyState,
         0.0, qs, 0.0, 0.0,  optical, -qc, 0.0, 0.0,  0.0, 0.0, *B1,  0.0, 0.0, *B2,
     ]).reshape(2, 16)
     rotation = np.array([np.cos(phis), np.sin(phis)]).T
-    rows = (rotation @ rows).reshape(-1, 4, 4)
-    X = np.array([(2.0 * p.kappa) * v * s - den, v * v, s, v])
-    return _combine(rows, X), den
+    rows = (rotation @ rows).reshape(-1, 4)
+    (s0, s1, _, _), (h, _, _, _) = _factor_polynomials(ss, p)[:2].tolist()
+    (p_lo, q_lo), (p_hi, q_hi) = _factor_pairs(ss, p)
+    k2 = 2.0 * p.kappa
+    X = np.array([   # 2 kappa v s - den, v^2, s, v; den expanded from the pairs
+        k2 * h * s0 - q_lo * q_hi, k2 * (h * s1 + s0) - (p_lo * q_hi + p_hi * q_lo),
+        k2 * (h + s1) - (q_lo + q_hi + p_lo * p_hi), k2 - (p_lo + p_hi), -1.0,
+        h * h, 2.0 * h, 1.0, 0.0, 0.0,  s0, s1, 1.0, 0.0, 0.0,  h, 1.0, 0.0, 0.0, 0.0,
+    ]).reshape(4, 5)
+    return (rows @ X).reshape(-1, 4, 5)
 
 
 def _zout(omega: np.ndarray, phis: np.ndarray, ss: SteadyState,
           p: SystemParams) -> np.ndarray:
     # S_zout at each phase of phis on the 1-d grid omega, (phases, n)
-    return _two_bath(*_output_couplings(omega, phis, ss, p, sqrt(ss.n_th_c + 0.5),
-                                        sqrt(ss.n_th_m + 0.5)))
+    b = _output_couplings(phis, ss, p, sqrt(ss.n_th_c + 0.5), sqrt(ss.n_th_m + 0.5))
+    return _spectra(b, _factor_pairs(ss, p), omega)
 
 
 def spectrum_zout(omega, phi: float, ss: SteadyState, p: SystemParams):
@@ -156,8 +165,8 @@ def detection_map(omega_grid, phi_grid, ss: SteadyState,
                   p: SystemParams) -> np.ndarray:
     """S_zout on the product grid, shaped (len(omega_grid), len(phi_grid)).
 
-    The factors are evaluated once for the whole grid, and every phase in
-    one product.
+    The coefficient rows are built once for every phase, and the whole
+    grid is evaluated in one product.
     """
     om = np.asarray(omega_grid, dtype=float).ravel()
     phis = np.asarray(phi_grid, dtype=float).ravel()

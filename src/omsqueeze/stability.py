@@ -10,8 +10,8 @@ weight here — see the lyapunov module notes).
 
 Stability is decided two independent ways. The characteristic quartic
 z^4 + a3 z^3 + a2 z^2 + a1 z + a0 of the drift factors into two
-quadratics z^2 + p z + q (``_factor_pairs``, which the closed-form
-variances share). ``routh_hurwitz`` forms its three conditions from the
+quadratics z^2 + p z + q (``_factor_pairs``, which the spectra and the
+closed-form variances share). ``routh_hurwitz`` forms its three conditions from the
 pairs, free of cancellation: a3 a2 - a1, the Hurwitz determinant
 a1 a2 a3 - a0 a3^2 - a1^2 and a0, all positive exactly where the
 first column of the Routh table is; and it decides on the slowest decay

@@ -1,8 +1,9 @@
 """Shared fixtures: the optimal working point and random draws, stable
-and next to the margin."""
+and next to the margin, and a pointwise reading of coefficient rows."""
 
 import math
 
+import numpy as np
 import pytest
 
 from omsqueeze import SystemParams, solve_steady_state
@@ -52,3 +53,12 @@ def draw_near_marginal_params(rng):
                         cooperativity=0.0,
                         G=float(0.5 - 10.0 ** rng.uniform(-12.0, -8.0)),
                         theta=theta, temperature=temperature)
+
+
+def evaluate_rows(b, pairs, omega: float):
+    """The couplings of the real coefficient rows ``b`` (..., powers of z)
+    over den = prod(z^2 + p z + q) on ``pairs``, and den, at
+    z = -i omega in complex arithmetic."""
+    z = -1j * float(omega)
+    den = np.prod([z * z + pp * z + q for pp, q in pairs])
+    return b @ z ** np.arange(b.shape[-1]) / den, den

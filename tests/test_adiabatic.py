@@ -37,7 +37,7 @@ class TestClosedFormVariance:
             return AdiabaticInputs.from_system(solve_steady_state(p), p)
 
         assert adiabatic_variance_p_approx(inp(400.0)) == pytest.approx(
-            0.25125, rel=1e-15)
+            0.25125, rel=1e-15, abs=0.0)
         assert adiabatic_variance_p_approx(inp(400.0, 0.01)) == pytest.approx(
             0.3947023433264465, rel=1e-12)
         # the working cooperativity, not a frozen C = 400
@@ -113,4 +113,4 @@ class TestFeedback:
             factor = 1.0 + (1.0 + inp.G0) * (1.0 + 0.5 * eta) / (
                 2.0 * inp.cooperativity)
             assert feedback_variance_p(inp) == pytest.approx(
-                adiabatic_variance_p(inp) / factor, rel=1e-15)
+                adiabatic_variance_p(inp) / factor, rel=1e-15, abs=0.0)

@@ -303,6 +303,17 @@ class TestSpectra:
         assert float(mid["omega"]) == pytest.approx(0.0, abs=1e-12)
         assert float(mid["S_P"]) < float(mid["S_Q"])
 
+    def test_spectrum_of_decoupled_mirror_at_threshold(self, tmp_path):
+        # kappa - 2G = 2e-10: the Lorentzian's peak 2/gamma_m, not a
+        # cancellation's 199.999826568
+        code, path = run(tmp_path, "spectrum", "--gamma-m", "0.01",
+                         "--cooperativity", "0", "--gain", "0.4999999999",
+                         "--theta", "0", "--omega-range", "-0.001", "0.001",
+                         "--points", "3")
+        assert code == 0
+        _, rows = read_table(path)
+        assert (rows[1]["omega"], rows[1]["S_Q"], rows[1]["S_P"]) == ("0", "200", "200")
+
     def test_detect_reports_band(self, tmp_path):
         code, path = run(tmp_path, "detect", "--config", "fig8",
                          "--points", "9")

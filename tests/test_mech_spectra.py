@@ -22,8 +22,10 @@ from omsqueeze import (
 )
 
 from omsqueeze import mech_spectra
+from omsqueeze.stability import _factor_pairs
 
-from conftest import draw_low_damping_params, draw_near_marginal_params, draw_stable_params
+from conftest import (draw_low_damping_params, draw_near_marginal_params, draw_stable_params,
+                      evaluate_rows)
 from line_quadrature import integrate_line
 
 # the order of the rows of mech_spectra._mirror_rows, then the denominator
@@ -31,11 +33,13 @@ COEFF_NAMES = ("A1", "B1", "E1", "F1", "A2", "B2", "E2", "F2", "den")
 
 
 def couplings(omega: float, ss, p) -> dict:
-    """The eight mirror couplings and den at one frequency, from the factored
-    form: each row of _mirror_rows weights the factors (s, v, T, 1)."""
-    v, s, T, den = mech_spectra._factors(np.asarray(float(omega)), ss, p)
+    """The eight mirror couplings and den at one frequency, from the
+    polynomial form: each row of _mirror_rows weights the factor
+    polynomials (s, v, T, 1), over den on the factor pairs."""
     rows = mech_spectra._mirror_rows(ss, p).reshape(8, 4)
-    return dict(zip(COEFF_NAMES, [*(rows @ np.array([s, v, T, 1.0]) / den), den]))
+    b = rows @ mech_spectra._factor_polynomials(ss, p)
+    values, den = evaluate_rows(b, _factor_pairs(ss, p), omega)
+    return dict(zip(COEFF_NAMES, [*values, den]))
 
 
 def resolvent_spectra(om: float, ss, p) -> tuple[float, float]:
@@ -99,23 +103,23 @@ class TestTransferCoefficients:
 
 
 class TestOneEvaluationPerFrequency:
-    def test_couplings_at_minus_omega_are_conjugates(self):
-        # real parameters: X(-omega) = X(omega)*, so the spectrum needs
-        # every factor at +omega only
+    def test_spectra_are_even_bit_for_bit(self):
+        # real coefficients: the real part is even in omega and the
+        # imaginary part odd, so S(-omega) is S(omega) exactly
         rng = np.random.default_rng(26)
         for _ in range(40):
             p = draw_stable_params(rng)
             ss = solve_steady_state(p)
             om = np.concatenate([[0.0], 10.0 ** rng.uniform(-5.0, 1.0, 30)])
-            for plus, minus in zip(mech_spectra._factors(om, ss, p),
-                                   mech_spectra._factors(-om, ss, p)):
-                np.testing.assert_allclose(minus, np.conj(plus), rtol=1e-14, atol=0)
+            plus, minus = spectrum(om, ss, p), spectrum(-om, ss, p)
+            assert np.array_equal(plus.S_Q, minus.S_Q)
+            assert np.array_equal(plus.S_P, minus.S_P)
 
     def test_one_coefficient_call_per_spectrum(self, opt_state, opt_params,
                                                monkeypatch):
         calls = []
-        engine = mech_spectra._factors
-        monkeypatch.setattr(mech_spectra, "_factors",
+        engine = mech_spectra._mirror_polynomials
+        monkeypatch.setattr(mech_spectra, "_mirror_polynomials",
                             lambda *a: calls.append(a) or engine(*a))
         spectrum(np.linspace(-1.0, 1.0, 9), opt_state, opt_params)
         assert len(calls) == 1
@@ -132,6 +136,22 @@ class TestSpectrumProperties:
             minus = spectrum(-grid, ss, p)
             np.testing.assert_allclose(plus.S_Q, minus.S_Q, rtol=1e-12)
             np.testing.assert_allclose(plus.S_P, minus.S_P, rtol=1e-12)
+
+    @pytest.mark.parametrize("gap", [1e-1, 1e-4, 1e-8, 1e-10, 2e-12])
+    def test_decoupled_mirror_next_to_threshold(self, gap):
+        # at C = 0 the mirror is its own bath's Lorentzian at any gain, also
+        # where kappa - 2G = gap nearly cancels in den and in T
+        for theta in (0.0, 0.3, 1.2):
+            for gamma_m in (1e-5, 1e-2):
+                p = SystemParams(gamma_m=gamma_m, cooperativity=0.0,
+                                 G=0.5 * (1.0 - gap), theta=theta)
+                ss = solve_steady_state(p)
+                om = np.array([0.0, 1e-6, 1e-3, 0.1, 1.0, 7.0])
+                s = spectrum(om, ss, p)
+                for w, S_Q, S_P in zip(om, s.S_Q, s.S_P):
+                    lorentzian = (ss.n_th_m + 0.5) * gamma_m / (0.25 * gamma_m ** 2 + w * w)
+                    assert S_Q == pytest.approx(lorentzian, rel=1e-13, abs=0.0)
+                    assert S_P == pytest.approx(lorentzian, rel=1e-13, abs=0.0)
 
     def test_real_and_positive(self):
         rng = np.random.default_rng(23)
@@ -175,8 +195,8 @@ class TestVariances:
                 continue
             checked += 1
             cov = steady_covariance(build_drift(ss, p))
-            assert pair.var_q == pytest.approx(cov.var_q, rel=1e-13)
-            assert pair.var_p == pytest.approx(cov.var_p, rel=1e-13)
+            assert pair.var_q == pytest.approx(cov.var_q, rel=1e-13, abs=0.0)
+            assert pair.var_p == pytest.approx(cov.var_p, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("draw", [draw_stable_params, draw_low_damping_params])
     def test_closed_form_matches_the_integrated_spectra(self, draw):
@@ -205,8 +225,8 @@ class TestVariances:
             ss = solve_steady_state(p)
             pair = quadrature_variances(ss, p)
             cov = steady_covariance(build_drift(ss, p))
-            assert pair.var_q == pytest.approx(cov.var_q, rel=1e-13)
-            assert pair.var_p == pytest.approx(cov.var_p, rel=1e-13)
+            assert pair.var_q == pytest.approx(cov.var_q, rel=1e-13, abs=0.0)
+            assert pair.var_p == pytest.approx(cov.var_p, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("kappa", [1e-60, 1e-30, 1e30, 1e60])
     def test_any_unit_of_the_rates(self, kappa):
@@ -220,18 +240,22 @@ class TestVariances:
                                          G=kappa * p.G, omega_m=kappa * p.omega_m)
             pair = quadrature_variances(solve_steady_state(p), p)
             moved = quadrature_variances(solve_steady_state(scaled), scaled)
-            assert moved.var_q == pytest.approx(pair.var_q, rel=1e-13)
-            assert moved.var_p == pytest.approx(pair.var_p, rel=1e-13)
+            assert moved.var_q == pytest.approx(pair.var_q, rel=1e-13, abs=0.0)
+            assert moved.var_p == pytest.approx(pair.var_p, rel=1e-13, abs=0.0)
 
     def test_factor_polynomials_evaluate_to_the_factors(self):
-        # the closed form reads the factors as polynomials in z = -i omega
+        # the spectra and the closed form read the factors as polynomials
+        # in z = -i omega
         rng = np.random.default_rng(4)
         for _ in range(20):
             p = draw_stable_params(rng)
             ss = solve_steady_state(p)
             om = np.concatenate([[0.0], 10.0 ** rng.uniform(-4.0, 1.0, 10)])
             powers = (-1j * om) ** np.arange(4)[:, None]
-            v, s, T, _ = mech_spectra._factors(om, ss, p)
+            v = 0.5 * p.gamma_m - 1j * om
+            u = p.kappa - 1j * om
+            s = u * v + abs(ss.g) ** 2
+            T = u * s - 4.0 * p.G ** 2 * v
             np.testing.assert_allclose(
                 mech_spectra._factor_polynomials(ss, p) @ powers,
                 [s, v, T, np.ones_like(om)], rtol=1e-13, atol=0)

@@ -21,8 +21,9 @@ from omsqueeze import output_detection
 from omsqueeze.cli import _resolve_config
 from omsqueeze.output_detection import _output_couplings
 from omsqueeze.params import params_from_mapping
+from omsqueeze.stability import _factor_pairs
 
-from conftest import draw_stable_params
+from conftest import draw_stable_params, evaluate_rows
 
 PHASE_QUAD = math.pi / 2
 
@@ -52,9 +53,10 @@ def resolvent_zout(omega: float, phi: float, ss, p) -> float:
 
 
 def output_coeffs(omega: float, phi: float, ss, p) -> tuple:
-    """(A_z, B_z, E_z, F_z) at one frequency."""
-    N, den = _output_couplings(np.array([float(omega)]), np.array([phi]), ss, p)
-    return tuple(N[0, :, 0] / den[0])
+    """(A_z, B_z, E_z, F_z) at one frequency, from their coefficient rows
+    over den on the factor pairs."""
+    b = _output_couplings(np.array([phi]), ss, p)[0]
+    return tuple(evaluate_rows(b, _factor_pairs(ss, p), omega)[0])
 
 
 class TestOutputCoeffs:
@@ -64,14 +66,14 @@ class TestOutputCoeffs:
         ss, p = point()
         I, R, _, _ = output_coeffs(0.37, 0.0, ss, p)
         A90, B90, _, _ = output_coeffs(0.37, PHASE_QUAD, ss, p)
-        assert A90 == pytest.approx(R, rel=1e-15)
+        assert A90 == pytest.approx(R, rel=1e-15, abs=0.0)
         # a general phase rotates the two readings into each other
         phi = 0.3
         A, B, _, _ = output_coeffs(0.37, phi, ss, p)
         assert A == pytest.approx(I * math.cos(phi) + R * math.sin(phi),
-                                  rel=1e-15)
+                                  rel=1e-15, abs=0.0)
         assert B == pytest.approx(R * math.cos(phi) + B90 * math.sin(phi),
-                                  rel=1e-15)
+                                  rel=1e-15, abs=0.0)
 
     def test_empty_cavity_reflects_vacuum(self):
         # no coupling, no gain: input reflects with unit magnitude
@@ -117,6 +119,20 @@ class TestSpectrumZout:
         ss, p = point(cooperativity=0.0)
         grid = np.linspace(-0.05, 0.05, 21)
         assert (spectrum_zout(grid, PHASE_QUAD, ss, p) > 5.0).all()
+
+    @pytest.mark.parametrize("gap", [1e-1, 1e-4, 1e-8, 1e-10, 2e-12])
+    def test_bare_amplifier_next_to_threshold(self, gap):
+        # at C = 0 and theta = phi = 0 the detector sees the amplified
+        # amplitude quadrature, also where kappa - 2G = gap nearly cancels
+        for gamma_m in (1e-5, 1e-2):
+            p = SystemParams(gamma_m=gamma_m, cooperativity=0.0, G=0.5 * (1.0 - gap),
+                             theta=0.0)
+            ss = solve_steady_state(p)
+            om = np.array([0.0, 1e-6, 1e-3, 0.1, 1.0, 7.0])
+            lo, hi = p.kappa - 2.0 * p.G, p.kappa + 2.0 * p.G
+            expected = (ss.n_th_c + 0.5) * (hi * hi + om * om) / (lo * lo + om * om)
+            for got, want in zip(spectrum_zout(om, 0.0, ss, p), expected):
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_even_in_frequency(self):
         ss, p = point()
@@ -321,16 +337,18 @@ class TestBatchedBandSearch:
 
 
 class TestOneEvaluationPerFrequency:
-    def test_couplings_at_minus_omega_are_conjugates(self):
+    def test_spectra_are_even_bit_for_bit(self):
         rng = np.random.default_rng(6)
         phis = np.linspace(0.0, math.pi, 5)
         for _ in range(40):
             p = draw_stable_params(rng)
             ss = solve_steady_state(p)
             om = np.concatenate([[0.0], 10.0 ** rng.uniform(-5.0, 1.0, 30)])
-            for plus, minus in zip(_output_couplings(om, phis, ss, p),
-                                   _output_couplings(-om, phis, ss, p)):
-                np.testing.assert_allclose(minus, np.conj(plus), rtol=1e-14, atol=0)
+            assert np.array_equal(detection_map(om, phis, ss, p),
+                                  detection_map(-om, phis, ss, p))
+            for phi in phis:
+                assert np.array_equal(spectrum_zout(om, phi, ss, p),
+                                      spectrum_zout(-om, phi, ss, p))
 
     @pytest.mark.parametrize("evaluate", [
         lambda ss, p: spectrum_zout(np.linspace(-0.1, 0.1, 9), PHASE_QUAD, ss, p),
@@ -340,8 +358,8 @@ class TestOneEvaluationPerFrequency:
     def test_one_coefficient_call(self, evaluate, monkeypatch):
         ss, p = point()
         calls = []
-        engine = output_detection._factors
-        monkeypatch.setattr(output_detection, "_factors",
+        engine = output_detection._output_couplings
+        monkeypatch.setattr(output_detection, "_output_couplings",
                             lambda *a: calls.append(a) or engine(*a))
         evaluate(ss, p)
         assert len(calls) == 1
@@ -390,7 +408,7 @@ class TestDetectionMap:
         m = detection_map([0.01], [PHASE_QUAD], ss, p)
         assert m.shape == (1, 1)
         assert m[0, 0] == pytest.approx(
-            float(spectrum_zout(0.01, PHASE_QUAD, ss, p)), rel=1e-15)
+            float(spectrum_zout(0.01, PHASE_QUAD, ss, p)), rel=1e-15, abs=0.0)
 
     def test_even_in_frequency(self):
         ss, p = point()

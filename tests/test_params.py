@@ -255,7 +255,7 @@ class TestAngleParsing:
         ("2", 2.0),
     ])
     def test_accepted_forms(self, text, value):
-        assert parse_angle(text) == pytest.approx(value, rel=1e-15)
+        assert parse_angle(text) == pytest.approx(value, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("text", ["", "pi/0x1", "import os", "theta",
                                       "__import__('os')", "1;2", "pi/0",
