@@ -54,11 +54,14 @@ def _rows(p: SystemParams, optical: float = 1.0) -> np.ndarray:
     phase quadrature, and B3 = A4 identically (the same PA cross term
     couples both ways).
     """
-    s2k = optical * sqrt(2.0 * p.kappa)
-    gc = s2k * 2.0 * p.G * cos(p.theta)
-    gs = s2k * 2.0 * p.G * sin(p.theta)
+    s2k, gc, gs = _couplings(p, optical)
     return np.array([[[s2k, gc], [0.0, gs]],
                      [[0.0, gs], [s2k, -gc]]])
+
+
+def _couplings(p: SystemParams, optical: float = 1.0) -> tuple[float, float, float]:
+    s2k = optical * sqrt(2.0 * p.kappa)
+    return s2k, s2k * 2.0 * p.G * cos(p.theta), s2k * 2.0 * p.G * sin(p.theta)
 
 
 def _weight(p: SystemParams) -> float:
@@ -87,12 +90,11 @@ def cavity_variances(p: SystemParams) -> tuple[float, float]:
     # in units of kappa, where den's coefficients are 1, 2 and a0 / kappa^2
     x = 2.0 * p.G / p.kappa
     a0 = (1.0 - x) * (1.0 + x)
-    rows = _rows(p, _weight(p) / sqrt(p.kappa))
-    b1 = rows[..., 0]
-    # overflow to inf or nan stays silent: the check below refuses it by name
-    with np.errstate(over="ignore", invalid="ignore"):
-        b0 = b1 + rows[..., 1] / p.kappa
-        var_x, var_y = ((b0 * b0 / a0 + b1 * b1).sum(axis=1) / 4.0).tolist()
+    # _rows to z^0 (z^1: s2k in A3 and B4) in floats; the check refuses inf or nan
+    s2k, gc, gs = _couplings(p, _weight(p) / sqrt(p.kappa))
+    bx, by, cross = s2k + gc / p.kappa, s2k - gc / p.kappa, gs / p.kappa
+    var_x = (bx * bx / a0 + s2k * s2k + cross * cross / a0) / 4.0
+    var_y = (cross * cross / a0 + (by * by / a0 + s2k * s2k)) / 4.0
     if not (isfinite(var_x) and isfinite(var_y)):
         raise NonFiniteVariance(_OUT_OF_RANGE)
     return var_x, var_y

@@ -91,6 +91,14 @@ class VariancePair:
     var_p: float
 
 
+def _optical_couplings(ss: SteadyState, p: SystemParams, optical: float = 1.0) -> tuple:
+    # (gi, gr, a, b), the floats of the optical rows A and B of _mirror_rows
+    g = complex(ss.g)
+    w = complex(cos(p.theta), sin(p.theta)) * g.conjugate()
+    c = optical * sqrt(2.0 * p.kappa)
+    return c * g.imag, c * g.real, 2.0 * p.G * c * w.imag, 2.0 * p.G * c * w.real
+
+
 def _mirror_rows(ss: SteadyState, p: SystemParams, optical: float = 1.0,
                  thermal: float = 1.0) -> np.ndarray:
     """Coefficients of (s, v, T, 1) in den times each mirror coupling.
@@ -104,11 +112,8 @@ def _mirror_rows(ss: SteadyState, p: SystemParams, optical: float = 1.0,
     ``thermal`` scale the rows of each bath.
     """
     g, G = complex(ss.g), p.G
-    w = complex(cos(p.theta), sin(p.theta)) * g.conjugate()
     gg = g * g * complex(cos(p.theta), -sin(p.theta))
-    c = optical * sqrt(2.0 * p.kappa)
-    gi, gr = c * g.imag, c * g.real
-    a, b = 2.0 * G * c * w.imag, 2.0 * G * c * w.real
+    gi, gr, a, b = _optical_couplings(ss, p, optical)
     m = thermal * sqrt(p.gamma_m)
     gamma, cross = 2.0 * m * G * gg.real, -2.0 * m * G * gg.imag
     return np.array([
@@ -147,23 +152,32 @@ def _spectra(b: np.ndarray, pairs, omega: np.ndarray) -> np.ndarray:
     grid ``omega``; shape (spectra, n). See the module notes."""
     w2 = omega * omega
     k = b.shape[-1]
-    powers = [np.ones_like(w2), -w2]   # (-omega^2)^j
-    while len(powers) < (k + 1) // 2:
-        powers.append(powers[-1] * powers[1])
-    powers = np.array(powers[:(k + 1) // 2])
+    powers = np.empty(((k + 1) // 2, w2.size))   # (-omega^2)^j
+    powers[0] = 1.0
+    for j in range(1, len(powers)):
+        np.multiply(powers[j - 1], -w2, out=powers[j])
     flat = b.reshape(-1, k)
     re = flat[:, ::2] @ powers
-    im = (flat[:, 1::2] @ powers[:k // 2]) * omega   # the imaginary part, up to its sign
-    den = 1.0
+    im = flat[:, 1::2] @ powers[:k // 2]
+    im *= omega   # the imaginary part, up to its sign
+    den = None
     for p, q in pairs:
-        den = den * ((q - w2) ** 2 + (p * p) * w2)
-    return (re * re + im * im).reshape(b.shape[:-1] + (-1,)).sum(axis=-2) / den
+        f = q - w2
+        f *= f
+        f += (p * p) * w2
+        den = f if den is None else np.multiply(den, f, out=den)
+    re *= re
+    re += np.square(im, out=im)
+    total = re.reshape(b.shape[:-1] + (-1,)).sum(axis=-2)
+    total /= den
+    return total
 
 
 def spectrum(omega, ss: SteadyState, p: SystemParams) -> SpectrumSample:
     """Symmetrized spectra S_Q and S_P on a frequency grid."""
     om = np.atleast_1d(np.asarray(omega, dtype=float))
-    S_Q, S_P = _spectra(_mirror_polynomials(ss, p), _factor_pairs(ss, p), om)
+    S_Q, S_P = _spectra(_mirror_polynomials(ss, p), _factor_pairs(ss, p),
+                        om.ravel()).reshape((2,) + om.shape)
     return SpectrumSample(omega=om, S_Q=S_Q, S_P=S_P)
 
 

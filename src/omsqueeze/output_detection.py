@@ -18,17 +18,18 @@ optical-input coefficients of the mirror quadratures with a -sqrt(gamma_m)
 prefactor. That structure is kept exactly as derived; it reproduces the
 reference band half-width below, so it is cross-checked, not assumed.
 
-The band search reads S_zout at zero and at 256 geometric points from
-1e-3 kappa to 10 kappa, in one spectrum call. The edge lies in the cell
-just before the first point at or above the vacuum level. Each further
-call evaluates 63 points inside that cell, whose two ends keep the side
-they were found on, and the cell just before the first point at or above
-vacuum among them is the next one, until it is at most 1e-5 kappa wide:
-three refinements at most. The band is thus the connected sub-vacuum
-interval around zero, resolved to the first grid's spacing of 3.7% in
-omega. Where no point of the first grid reaches the vacuum level, the
-10 kappa cap is reported as the edge. The minimum is then read on
-[0, edge], so it is reported at omega >= 0.
+The band search builds the rows and pairs once. It decides first, from
+S_zout at omega = 0: the z^0 coefficients squared over den(0)^2 =
+(q- q+)^2, summed in ``_spectra``'s order, the spectrum there bit for bit;
+at or above vacuum it evaluates no grid. Else one spectrum call reads zero
+and 256 geometric points from 1e-3 kappa to 10 kappa, and the edge lies in
+the cell before the first point at or above vacuum. Each further call
+evaluates that cell's 63 inner points, its ends keeping their side, and
+takes the cell before the first point at or above vacuum among them, until
+it is at most 1e-5 kappa wide: three refinements at most. The band is thus
+the connected sub-vacuum interval around zero, resolved to the first
+grid's spacing of 3.7% in omega; with no crossing on the first grid the
+10 kappa cap is the edge. The minimum is read on [0, edge], at omega >= 0.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from math import cos, sin, sqrt
 import numpy as np
 
 from .params import SteadyState, SystemParams
-from .mech_spectra import _factor_polynomials, _mirror_rows, _spectra
+from .mech_spectra import _optical_couplings, _spectra
 from .stability import _factor_pairs
 
 __all__ = ["SqueezingBand", "detection_map", "find_band", "spectrum_zout"]
@@ -80,17 +81,17 @@ def _output_couplings(phis: np.ndarray, ss: SteadyState, p: SystemParams,
     conjugated, and the mirror's optical-input couplings carry its noise
     out. ``optical`` and ``thermal`` scale the couplings of each bath.
     """
-    (A1, B1, _, _), (A2, B2, _, _) = _mirror_rows(
-        ss, p, optical=-thermal * sqrt(p.gamma_m))[..., :2].tolist()
+    gi, gr, a, b = _optical_couplings(ss, p, -thermal * sqrt(p.gamma_m))
     q = 4.0 * p.kappa * p.G * optical
     qc, qs = q * cos(p.theta), q * sin(p.theta)
-    rows = np.array([
-        optical, qc, 0.0, 0.0,  0.0, qs, 0.0, 0.0,  0.0, 0.0, *A1,  0.0, 0.0, *A2,
-        0.0, qs, 0.0, 0.0,  optical, -qc, 0.0, 0.0,  0.0, 0.0, *B1,  0.0, 0.0, *B2,
+    rows = np.array([   # A1 = (gi, -a), A2 = (gr, b), B1 = (-gr, b), B2 = (gi, a)
+        optical, qc, 0.0, 0.0,  0.0, qs, 0.0, 0.0,  0.0, 0.0, gi, -a,  0.0, 0.0, gr, b,
+        0.0, qs, 0.0, 0.0,  optical, -qc, 0.0, 0.0,  0.0, 0.0, -gr, b,  0.0, 0.0, gi, a,
     ]).reshape(2, 16)
     rotation = np.array([np.cos(phis), np.sin(phis)]).T
     rows = (rotation @ rows).reshape(-1, 4)
-    (s0, s1, _, _), (h, _, _, _) = _factor_polynomials(ss, p)[:2].tolist()
+    h = 0.5 * p.gamma_m   # s = s0 + s1 z + z^2 and v = h + z, of _factor_polynomials
+    s0, s1 = p.kappa * h + abs(ss.g) ** 2, p.kappa + h
     (p_lo, q_lo), (p_hi, q_hi) = _factor_pairs(ss, p)
     k2 = 2.0 * p.kappa
     X = np.array([   # 2 kappa v s - den, v^2, s, v; den expanded from the pairs
@@ -101,11 +102,19 @@ def _output_couplings(phis: np.ndarray, ss: SteadyState, p: SystemParams,
     return (rows @ X).reshape(-1, 4, 5)
 
 
-def _zout(omega: np.ndarray, phis: np.ndarray, ss: SteadyState,
-          p: SystemParams) -> np.ndarray:
-    # S_zout at each phase of phis on the 1-d grid omega, (phases, n)
-    b = _output_couplings(phis, ss, p, sqrt(ss.n_th_c + 0.5), sqrt(ss.n_th_m + 0.5))
-    return _spectra(b, _factor_pairs(ss, p), omega)
+def _output_rows(phis: np.ndarray, ss: SteadyState, p: SystemParams) -> np.ndarray:
+    # _output_couplings with each bath's weight sqrt(n + 1/2) folded in
+    return _output_couplings(phis, ss, p, sqrt(ss.n_th_c + 0.5), sqrt(ss.n_th_m + 0.5))
+
+
+def _at_zero(b: np.ndarray, pairs) -> float:
+    # S_zout at omega = 0 for the rows b of one phase, bit for bit that of
+    # _spectra: the z^0 coefficients squared, summed in its order, over den(0)
+    (_, q_lo), (_, q_hi) = pairs
+    total = 0.0
+    for c in b[0, :, 0].tolist():
+        total += c * c
+    return total / ((q_lo * q_lo) * (q_hi * q_hi))
 
 
 def spectrum_zout(omega, phi: float, ss: SteadyState, p: SystemParams):
@@ -114,29 +123,33 @@ def spectrum_zout(omega, phi: float, ss: SteadyState, p: SystemParams):
     Returns an array matching the shape of ``omega`` (scalar in, 0-d out).
     """
     om = np.asarray(omega, dtype=float)
-    return _zout(om.ravel(), np.array([phi], dtype=float), ss, p).reshape(om.shape)
+    b = _output_rows(np.array([phi], dtype=float), ss, p)
+    return _spectra(b, _factor_pairs(ss, p), om.ravel()).reshape(om.shape)
 
 
 def find_band(phi: float, ss: SteadyState, p: SystemParams) -> SqueezingBand | None:
     """Squeezing band of the output spectrum around zero frequency.
 
-    Returns None when the spectrum at omega = 0 is at or above the vacuum
-    level, where "at" includes a rounding-dust margin: a passive working
-    point evaluates to 0.5 minus a few ulps and must not report a band.
-    Only the connected sub-vacuum interval containing zero is reported, as
-    resolved by the first grid; its edge is the first vacuum crossing,
-    refined to ``_EDGE_TOL`` kappa, or the ``_SEARCH_CAP`` kappa cap when
-    the first grid finds none (see the module notes). The spectrum is
-    even, so the band is symmetric and the search runs on positive
-    frequencies only.
+    Returns None, before any grid is evaluated, when the spectrum at
+    omega = 0 is at or above the vacuum level, where "at" includes a
+    rounding-dust margin: a passive working point evaluates to 0.5 minus a
+    few ulps and must not report a band. Only the connected sub-vacuum
+    interval containing zero is reported, as resolved by the first grid;
+    its edge is the first vacuum crossing, refined to ``_EDGE_TOL`` kappa,
+    or the ``_SEARCH_CAP`` kappa cap when the first grid finds none. The
+    coefficient rows are built once, for every grid (see the module notes).
+    The spectrum is even, so the band is symmetric and the search runs on
+    positive frequencies only.
     """
+    b, pairs = _output_rows(np.array([phi], dtype=float), ss, p), _factor_pairs(ss, p)
+    if _at_zero(b, pairs) >= 0.5 - _VACUUM_MARGIN:
+        return None
+
     def s(w):
-        return spectrum_zout(w, phi, ss, p)
+        return _spectra(b, pairs, w)[0]
 
     grid = p.kappa * _FIRST_GRID
     values = s(grid)
-    if values[0] >= 0.5 - _VACUUM_MARGIN:
-        return None
     edge = _SEARCH_CAP * p.kappa
     above = values >= 0.5
     while above.any():
@@ -170,4 +183,4 @@ def detection_map(omega_grid, phi_grid, ss: SteadyState,
     """
     om = np.asarray(omega_grid, dtype=float).ravel()
     phis = np.asarray(phi_grid, dtype=float).ravel()
-    return _zout(om, phis, ss, p).T
+    return _spectra(_output_rows(phis, ss, p), _factor_pairs(ss, p), om).T

@@ -124,6 +124,16 @@ class TestOneEvaluationPerFrequency:
         spectrum(np.linspace(-1.0, 1.0, 9), opt_state, opt_params)
         assert len(calls) == 1
 
+    def test_any_grid_shape(self, opt_state, opt_params):
+        # a 2-d grid gives the 1-d evaluation in its shape, a scalar a 1-d result
+        grid = np.array([[0.0, 0.1, -0.3], [2.0, 1e-4, 7.5]])
+        flat = spectrum(grid.ravel(), opt_state, opt_params)
+        shaped = spectrum(grid, opt_state, opt_params)
+        assert shaped.S_Q.shape == shaped.S_P.shape == (2, 3)
+        assert np.array_equal(shaped.S_Q.ravel(), flat.S_Q)
+        assert np.array_equal(shaped.S_P.ravel(), flat.S_P)
+        assert spectrum(0.1, opt_state, opt_params).S_Q.shape == (1,)
+
 
 class TestSpectrumProperties:
     def test_even_in_frequency(self):

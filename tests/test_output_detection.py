@@ -227,15 +227,16 @@ def band_cases():
 
 class TestBatchedBandSearch:
     def test_edges_match_the_first_crossing_reference(self, band_cases, monkeypatch):
+        # every grid find_band evaluates goes through the one spectral rule
         calls = []
-        engine = output_detection.spectrum_zout
-        monkeypatch.setattr(output_detection, "spectrum_zout",
-                            lambda om, *a: calls.append(np.size(om)) or engine(om, *a))
+        engine = output_detection._spectra
+        monkeypatch.setattr(output_detection, "_spectra",
+                            lambda b, pairs, om: calls.append(om.size) or engine(b, pairs, om))
         bands = 0
         for phi, ss, p, _ in band_cases:
+            edge = scalar_band_edge(phi, ss, p)   # its spectra reach the rule too
             calls.clear()
             band = find_band(phi, ss, p)
-            edge = scalar_band_edge(phi, ss, p)
             if edge is None:
                 assert band is None
                 continue
@@ -247,6 +248,28 @@ class TestBatchedBandSearch:
             assert len(calls) - 1 <= 5
         assert len(band_cases) == 1000
         assert bands >= 150
+
+    def test_zero_read_matches_the_spectrum(self, band_cases, monkeypatch):
+        # find_band decides "no band" from its omega = 0 read, which is the
+        # spectrum there bit for bit
+        reads = []
+        engine = output_detection._at_zero
+        monkeypatch.setattr(output_detection, "_at_zero",
+                            lambda b, pairs: reads.append(engine(b, pairs)) or reads[-1])
+        for phi, ss, p, _ in band_cases:
+            reads.clear()
+            find_band(phi, ss, p)
+            assert reads == [float(spectrum_zout(0.0, phi, ss, p))]
+        assert len(band_cases) == 1000
+
+    def test_no_grid_at_a_no_band_point(self, monkeypatch):
+        calls = []
+        engine = output_detection._spectra
+        monkeypatch.setattr(output_detection, "_spectra",
+                            lambda *a: calls.append(a) or engine(*a))
+        for ss, p in (point(cooperativity=0.0), point(G=0.0)):
+            assert find_band(PHASE_QUAD, ss, p) is None
+        assert calls == []
 
     def test_every_band_is_connected(self, band_cases):
         # the band is the connected sub-vacuum interval around zero: no
@@ -327,11 +350,13 @@ class TestBatchedBandSearch:
                 if np.diff(crossings).min(initial=hi - lo) > (hi - lo) / 64:
                     break
 
-            def s(w, *_, crossings=crossings):
+            def s(w, crossings=crossings):
                 # below the vacuum level up to the first crossing, then alternating
                 return np.where(np.searchsorted(crossings, w, side="right") % 2, 1.0, 0.0)
 
-            monkeypatch.setattr(output_detection, "spectrum_zout", s)
+            # the grids and the omega = 0 read of the band search
+            monkeypatch.setattr(output_detection, "_spectra", lambda b, pairs, w: s(w)[None])
+            monkeypatch.setattr(output_detection, "_at_zero", lambda b, pairs: float(s(0.0)))
             edge = find_band(PHASE_QUAD, ss, p).omega_hi
             assert abs(edge - crossings[0]) <= 0.5e-5 + 1e-15
 
@@ -362,6 +387,20 @@ class TestOneEvaluationPerFrequency:
         monkeypatch.setattr(output_detection, "_output_couplings",
                             lambda *a: calls.append(a) or engine(*a))
         evaluate(ss, p)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("config, has_band", [("fig8", True), ("no band", False)])
+    def test_one_coefficient_call_per_band_search(self, config, has_band, monkeypatch):
+        if config == "fig8":
+            p = params_from_mapping(_resolve_config("fig8"))
+            ss = solve_steady_state(p)
+        else:
+            ss, p = point(cooperativity=0.0)
+        calls = []
+        engine = output_detection._output_couplings
+        monkeypatch.setattr(output_detection, "_output_couplings",
+                            lambda *a: calls.append(a) or engine(*a))
+        assert (find_band(PHASE_QUAD, ss, p) is not None) == has_band
         assert len(calls) == 1
 
 
