@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from math import cos, isfinite, sin, sqrt
 
-import numpy as np
-
 from .errors import NonFiniteVariance, UnstableSystem
 from .mech_spectra import _OUT_OF_RANGE, _spectra
 from .params import SystemParams, thermal_occupation
@@ -46,17 +44,17 @@ def _stationary(p: SystemParams) -> None:
                              f"{rate:.3e} is marginal or negative")
 
 
-def _rows(p: SystemParams, optical: float = 1.0) -> np.ndarray:
+def _rows(p: SystemParams, optical: float = 1.0) -> tuple:
     """Coefficients of (u, 1) in den times the input couplings of the empty
     driven cavity, u = kappa + z, scaled by ``optical``.
 
-    Shape (2, 2, 2): (A3, B3) feed the amplitude quadrature, (A4, B4) the
+    Nested (2, 2, 2): (A3, B3) feed the amplitude quadrature, (A4, B4) the
     phase quadrature, and B3 = A4 identically (the same PA cross term
     couples both ways).
     """
     s2k, gc, gs = _couplings(p, optical)
-    return np.array([[[s2k, gc], [0.0, gs]],
-                     [[0.0, gs], [s2k, -gc]]])
+    return (((s2k, gc), (0.0, gs)),
+            ((0.0, gs), (s2k, -gc)))
 
 
 def _couplings(p: SystemParams, optical: float = 1.0) -> tuple[float, float, float]:
@@ -71,9 +69,11 @@ def _weight(p: SystemParams) -> float:
 
 def cavity_spectra(omega, p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrized amplitude and phase quadrature spectra (S_x, S_y)."""
+    import numpy as np
     _stationary(p)
     om = np.asarray(omega, dtype=float)
-    b = _rows(p, _weight(p)) @ np.array([[p.kappa, 1.0], [1.0, 0.0]])   # (u, 1) to z^0, z^1
+    # (u, 1) to z^0, z^1
+    b = np.array(_rows(p, _weight(p))) @ np.array([[p.kappa, 1.0], [1.0, 0.0]])
     pair = (2.0 * p.kappa, (p.kappa - 2.0 * p.G) * (p.kappa + 2.0 * p.G))
     S_x, S_y = _spectra(b, [pair], om.ravel()).reshape((2,) + om.shape)
     return S_x, S_y

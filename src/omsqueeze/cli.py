@@ -36,8 +36,6 @@ from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .adiabatic import (
     AdiabaticInputs,
@@ -280,13 +278,20 @@ def _check_count(flag: str, count: int) -> None:
         raise ConfigError(f"{flag} must be at least 1, got {count}")
 
 
-def _grid(bounds: tuple[float, float], points: int, flag: str) -> np.ndarray:
-    # ``points`` values over [lo, hi]; ``flag`` names the option that set points
+def _grid(bounds: tuple[float, float], points: int, flag: str) -> list[float]:
+    # ``points`` values over [lo, hi], np.linspace's in floats: i step + lo,
+    # or i / div span + lo where the step underflows, and hi last;
+    # ``flag`` names the option that set points
     lo, hi = bounds
     _check_count(flag, points)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ConfigError(f"grid range must be finite with lo < hi, got [{lo}, {hi}]")
-    return np.linspace(lo, hi, points)
+    span, div = hi - lo, max(points - 1, 1)
+    step = span / div
+    grid = [(i * step if step else i / div * span) + lo for i in range(points)]
+    if points > 1:
+        grid[-1] = hi
+    return grid
 
 
 # each swept field: its column, its default range, and whether both are
@@ -309,8 +314,7 @@ def _sweep(args, field: str, row, columns: list[str]) -> int:
     if args.points < 2:
         raise ConfigError("a sweep needs at least 2 points")
     values = _grid(args.range or (lo * unit, hi * unit), args.points, "--points")
-    rows = [(float(v) / unit, *row(dataclasses.replace(p0, **{field: float(v)})))
-            for v in values]
+    rows = [(v / unit, *row(dataclasses.replace(p0, **{field: v}))) for v in values]
     meta = _params_metadata(p0)
     meta["swept"] = column
     meta["points"] = len(rows)
@@ -338,7 +342,7 @@ def cmd_stability_map(args) -> int:
     p0 = _load_params(args)
     gains = _grid(args.gain_range, args.gain_points, "--gain-points")
     coops = _grid(args.coop_range, args.coop_points, "--coop-points")
-    rows = [_stability_row(dataclasses.replace(p0, G=float(g), cooperativity=float(c)))
+    rows = [_stability_row(dataclasses.replace(p0, G=g, cooperativity=c))
             for g in gains for c in coops]
     columns = ["G_over_kappa", "cooperativity", "cond1", "cond2", "cond3",
                "stable", "marginal"]
@@ -351,7 +355,7 @@ def cmd_stability_map(args) -> int:
 # ---------------------------------------------------------------------------
 # spectrum / detection subcommands
 
-def _stationary_grid(args) -> tuple[SystemParams, SteadyState, np.ndarray]:
+def _stationary_grid(args) -> tuple[SystemParams, SteadyState, list[float]]:
     # the working point, refused when it has no stationary state, and the
     # checked omega grid of the spectrum commands
     p = _load_params(args)
@@ -364,7 +368,7 @@ def _stationary_grid(args) -> tuple[SystemParams, SteadyState, np.ndarray]:
 def cmd_spectrum(args) -> int:
     p, ss, omega = _stationary_grid(args)
     sample = spectrum(omega, ss, p)
-    rows = list(zip(omega.tolist(), sample.S_Q.tolist(), sample.S_P.tolist()))
+    rows = list(zip(omega, sample.S_Q.tolist(), sample.S_P.tolist()))
     _write_table(args, ["omega", "S_Q", "S_P"], rows, _point_metadata(p, ss))
     return 0
 
@@ -383,7 +387,7 @@ def cmd_detect(args) -> int:
         meta["band_omega_hi"] = band.omega_hi
         meta["band_min_S"] = band.min_S
         meta["band_min_at"] = band.min_at
-    rows = list(zip(omega.tolist(), values.tolist()))
+    rows = list(zip(omega, values.tolist()))
     _write_table(args, ["omega", "S_zout"], rows, meta)
     return 0
 
@@ -392,8 +396,8 @@ def cmd_detect_map(args) -> int:
     p, ss, omega = _stationary_grid(args)
     phis = _grid(args.phi_range, args.phi_points, "--phi-points")
     values = detection_map(omega, phis, ss, p)
-    rows = [(w, phi, s) for phi, column in zip(phis.tolist(), values.T.tolist())
-            for w, s in zip(omega.tolist(), column)]
+    rows = [(w, phi, s) for phi, column in zip(phis, values.T.tolist())
+            for w, s in zip(omega, column)]
     meta = _point_metadata(p, ss)
     meta["grid"] = f"{args.points}x{args.phi_points}"
     _write_table(args, ["omega", "phi", "S_zout"], rows, meta)
@@ -523,6 +527,7 @@ def cmd_validate(args) -> int:
     counts = {check[1]: getattr(args, check[1]) for check in _CHECKS}
     for flag, n in counts.items():
         _check_count("--" + flag.replace("_", "-"), n)
+    import numpy as np   # validate's generator
     rng = np.random.default_rng(args.seed)
     t_start = time.perf_counter()
     meta, rows, passed = {"seed": args.seed, **counts}, [], True

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import SingularSolve, UnstableSystem
 from .stability import DriftModel, eigen_stable
 
@@ -22,6 +20,7 @@ __all__ = ["Covariance", "steady_covariance"]
 def _kronecker_sum(M: np.ndarray) -> np.ndarray:
     """M (+) M = M x I + I x M, the matrix of V -> M V + V M^T acting on
     the row-major vec(V), built by broadcasting (np.kron is slower)."""
+    import numpy as np
     n = M.shape[0]
     eye = np.eye(n)
     K = (M[:, None, :, None] * eye[None, :, None, :]
@@ -51,6 +50,7 @@ def steady_covariance(dm: DriftModel) -> Covariance:
     SingularSolve when the Kronecker system is ill conditioned (drift
     effectively marginal).
     """
+    import numpy as np
     M, D = dm.M, dm.D
     if not eigen_stable(M):
         raise UnstableSystem("drift matrix has a non-decaying mode")

@@ -16,7 +16,7 @@ q = (gamma_m/2)(kappa -+ 2G) + |g|^2, are the pairs of
 ``stability._factor_pairs``; its roots are the drift poles. den times each coupling is a real
 combination of s, v, T and 1 (``_mirror_rows``), so on the factors'
 coefficients (``_factor_polynomials``, t = (kappa - 2G)(kappa + 2G)
-formed as that product) a real cubic. One array of these coefficients,
+formed as that product) a real cubic. One table of these coefficients,
 bath weights sqrt(n + 1/2) folded in (``_mirror_polynomials``), is what
 the spectra evaluate and the variances integrate.
 
@@ -44,9 +44,10 @@ The pairs are Hurwitz there, so every p and q is positive, and so is
 each of a0 = q- q+, a1 = p- q+ + p+ q-, a3 = p- + p+ and
 Delta = p- p+ ((2 G gamma_m)^2 + a3 a1): formed from the pairs, none of
 them cancels, also where Delta -> 0 next to the margin or where the
-factors coincide at G = 0. The weights ``_variance_weights`` map the
-polynomial coefficients to the four square roots, so a variance pair is
-two small matrix products and a sum of squares. They are formed in
+factors coincide at G = 0. The six nonzero weights ``_variance_weights``
+map the polynomial coefficients to the four square roots, so a variance
+pair is float arithmetic on the nonzero coefficients and weights and a
+sum of squares, with no array and no numpy. They are formed in
 units of den's root scale a0^(1/4), so no intermediate over- or
 underflows at any unit of the rates. The route shares its coefficient
 rows with the spectra and the factor pairs with the stability decision,
@@ -57,9 +58,7 @@ All frequencies are in cavity linewidth units, matching SystemParams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, isfinite, sin, sqrt
-
-import numpy as np
+from math import cos, isfinite, log10, sin, sqrt
 
 from .errors import NonFiniteVariance, UnstableSystem
 from .params import SteadyState, SystemParams
@@ -100,90 +99,102 @@ def _optical_couplings(ss: SteadyState, p: SystemParams, optical: float = 1.0) -
 
 
 def _mirror_rows(ss: SteadyState, p: SystemParams, optical: float = 1.0,
-                 thermal: float = 1.0) -> np.ndarray:
+                 thermal: float = 1.0) -> tuple:
     """Coefficients of (s, v, T, 1) in den times each mirror coupling.
 
-    Shape (2, 4, 4): the Q and P quadratures, then their couplings to
-    c_in, c_in^dag and the thermal inputs (A, B, E, F; F of Q is E of P),
-    then the factors. alpha = 2i Im(e^{i theta} g*), Gamma =
-    2 Re(g^2 e^{-i theta}) and DeltaGamma = 2i Im(g^2 e^{-i theta}) are
-    each real or imaginary, so every coefficient is real, e.g.
-    A1 den = sqrt(2 kappa)(Im(g) s - G Im(alpha) v). ``optical`` and
-    ``thermal`` scale the rows of each bath.
+    Eight rows of four: the Q quadrature's couplings to c_in, c_in^dag
+    and the thermal inputs (A1, B1, E1, F1; F of Q is E of P), then the
+    P quadrature's (A2, B2, E2, F2), each on the factors. alpha =
+    2i Im(e^{i theta} g*), Gamma = 2 Re(g^2 e^{-i theta}) and DeltaGamma =
+    2i Im(g^2 e^{-i theta}) are each real or imaginary, so every
+    coefficient is real, e.g. A1 den = sqrt(2 kappa)(Im(g) s - G Im(alpha) v).
+    ``optical`` and ``thermal`` scale the rows of each bath.
     """
     g, G = complex(ss.g), p.G
     gg = g * g * complex(cos(p.theta), -sin(p.theta))
     gi, gr, a, b = _optical_couplings(ss, p, optical)
     m = thermal * sqrt(p.gamma_m)
     gamma, cross = 2.0 * m * G * gg.real, -2.0 * m * G * gg.imag
-    return np.array([
-        gi, -a, 0.0, 0.0,  -gr, b, 0.0, 0.0,        # A1, B1
-        0.0, 0.0, m, gamma,  0.0, 0.0, 0.0, cross,  # E1, F1
-        gr, b, 0.0, 0.0,  gi, a, 0.0, 0.0,          # A2, B2
-        0.0, 0.0, 0.0, cross,  0.0, 0.0, m, -gamma,  # E2 = F1, F2
-    ]).reshape(2, 4, 4)
+    return ((gi, -a, 0.0, 0.0), (-gr, b, 0.0, 0.0),          # A1, B1
+            (0.0, 0.0, m, gamma), (0.0, 0.0, 0.0, cross),    # E1, F1
+            (gr, b, 0.0, 0.0), (gi, a, 0.0, 0.0),            # A2, B2
+            (0.0, 0.0, 0.0, cross), (0.0, 0.0, m, -gamma))   # E2 = F1, F2
 
 
-def _factor_polynomials(ss: SteadyState, p: SystemParams) -> np.ndarray:
+def _factor_polynomials(ss: SteadyState, p: SystemParams) -> tuple:
     """Coefficients of z^0 .. z^3 (columns) of the factors s, v, T and 1
     (rows) of the module notes, with t = (kappa - 2G)(kappa + 2G)."""
     k, h, g2 = p.kappa, 0.5 * p.gamma_m, abs(ss.g) ** 2
     t = (k - 2.0 * p.G) * (k + 2.0 * p.G)
-    return np.array([
-        [k * h + g2, k + h, 1.0, 0.0],
-        [h, 1.0, 0.0, 0.0],
-        [h * t + k * g2, t + 2.0 * k * h + g2, 2.0 * k + h, 1.0],
-        [1.0, 0.0, 0.0, 0.0],
-    ])
+    return ((k * h + g2, k + h, 1.0, 0.0),
+            (h, 1.0, 0.0, 0.0),
+            (h * t + k * g2, t + 2.0 * k * h + g2, 2.0 * k + h, 1.0),
+            (1.0, 0.0, 0.0, 0.0))
 
 
-def _mirror_polynomials(ss: SteadyState, p: SystemParams) -> np.ndarray:
+def _mirror_polynomials(ss: SteadyState, p: SystemParams) -> list:
     """Coefficients of z^0 .. z^3 in den times each mirror coupling scaled
-    by sqrt(n + 1/2) of its bath, shape (2, 4, 4): ``_mirror_rows`` on the
-    factor polynomials, which the spectra evaluate and the variances integrate."""
+    by sqrt(n + 1/2) of its bath, eight rows in the order of
+    ``_mirror_rows``: its rows on the factor polynomials, which the spectra
+    evaluate and the variances integrate. Each row is read only where it
+    can be nonzero: the A and B rows weight s and v, the E and F rows T and 1."""
     rows = _mirror_rows(ss, p, sqrt(ss.n_th_c + 0.5), sqrt(ss.n_th_m + 0.5))
-    return (rows.reshape(8, 4) @ _factor_polynomials(ss, p)).reshape(2, 4, 4)
+    (s0, s1, s2, s3), (v0, v1, v2, v3), (T0, T1, T2, T3), (o0, o1, o2, o3) = \
+        _factor_polynomials(ss, p)
+    out = []
+    for k, (a, b, c, d) in enumerate(rows):
+        if k % 4 < 2:   # A and B: on s and v
+            out.append((a * s0 + b * v0, a * s1 + b * v1, a * s2 + b * v2, a * s3 + b * v3))
+        else:           # E and F: on T and 1
+            out.append((c * T0 + d * o0, c * T1 + d * o1, c * T2 + d * o2, c * T3 + d * o3))
+    return out
 
 
 def _spectra(b: np.ndarray, pairs, omega: np.ndarray) -> np.ndarray:
     """The one spectral rule: sum_k |B_k(z)|^2 / |den(z)|^2 at z = -i omega,
     for real coefficient rows b (spectra, couplings, powers of z) and
     den the product of the factors z^2 + p z + q of ``pairs``, on the 1-d
-    grid ``omega``; shape (spectra, n). See the module notes."""
-    w2 = omega * omega
-    k = b.shape[-1]
-    powers = np.empty(((k + 1) // 2, w2.size))   # (-omega^2)^j
-    powers[0] = 1.0
-    for j in range(1, len(powers)):
-        np.multiply(powers[j - 1], -w2, out=powers[j])
-    flat = b.reshape(-1, k)
-    re = flat[:, ::2] @ powers
-    im = flat[:, 1::2] @ powers[:k // 2]
-    im *= omega   # the imaginary part, up to its sign
-    den = None
-    for p, q in pairs:
-        f = q - w2
-        f *= f
-        f += (p * p) * w2
-        den = f if den is None else np.multiply(den, f, out=den)
-    re *= re
-    re += np.square(im, out=im)
-    total = re.reshape(b.shape[:-1] + (-1,)).sum(axis=-2)
-    total /= den
+    grid ``omega``; shape (spectra, n). See the module notes. At huge
+    omega the powers overflow to inf or nan silently: the CLI's finite
+    check refuses such a result by name."""
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = omega * omega
+        k = b.shape[-1]
+        powers = np.empty(((k + 1) // 2, w2.size))   # (-omega^2)^j
+        powers[0] = 1.0
+        for j in range(1, len(powers)):
+            np.multiply(powers[j - 1], -w2, out=powers[j])
+        flat = b.reshape(-1, k)
+        re = flat[:, ::2] @ powers
+        im = flat[:, 1::2] @ powers[:k // 2]
+        im *= omega   # the imaginary part, up to its sign
+        den = None
+        for p, q in pairs:
+            f = q - w2
+            f *= f
+            f += (p * p) * w2
+            den = f if den is None else np.multiply(den, f, out=den)
+        re *= re
+        re += np.square(im, out=im)
+        total = re.reshape(b.shape[:-1] + (-1,)).sum(axis=-2)
+        total /= den
     return total
 
 
 def spectrum(omega, ss: SteadyState, p: SystemParams) -> SpectrumSample:
     """Symmetrized spectra S_Q and S_P on a frequency grid."""
+    import numpy as np
     om = np.atleast_1d(np.asarray(omega, dtype=float))
-    S_Q, S_P = _spectra(_mirror_polynomials(ss, p), _factor_pairs(ss, p),
-                        om.ravel()).reshape((2,) + om.shape)
+    b = np.array(_mirror_polynomials(ss, p), dtype=float).reshape(2, 4, 4)
+    S_Q, S_P = _spectra(b, _factor_pairs(ss, p), om.ravel()).reshape((2,) + om.shape)
     return SpectrumSample(omega=om, S_Q=S_Q, S_P=S_P)
 
 
-def _variance_weights(ss: SteadyState, p: SystemParams) -> np.ndarray:
-    """W (4, 4) with (1/2pi) int |B|^2/|den|^2 d omega = |b @ W|^2 for every
-    real cubic B of coefficients b; see the module notes. The forms are
+def _variance_weights(ss: SteadyState, p: SystemParams) -> tuple:
+    """The six nonzero entries (W00, W01, W12, W21, W32, W33) of the 4 x 4
+    W with (1/2pi) int |B|^2/|den|^2 d omega = |b @ W|^2 for every real
+    cubic B of coefficients b; see the module notes. The forms are
     evaluated in units of r = a0^(1/4), the geometric mean of den's root
     magnitudes, where a0 = 1, and row i of W takes r^(i - 7/2) back."""
     (p_lo, q_lo), (p_hi, q_hi) = _factor_pairs(ss, p)
@@ -198,12 +209,8 @@ def _variance_weights(ss: SteadyState, p: SystemParams) -> np.ndarray:
     r2 = r3 / r
     r1 = r2 / r
     r0 = r1 / r
-    return np.array([
-        [sqrt(0.5 / a1) * r0, -a3 / a1 * even * r0, 0.0, 0.0],
-        [0.0, 0.0, odd * r1, 0.0],
-        [0.0, even * r2, 0.0, 0.0],
-        [0.0, 0.0, -a1 / a3 * odd * r3, sqrt(0.5 / a3) * r3],
-    ])
+    return (sqrt(0.5 / a1) * r0, -a3 / a1 * even * r0, odd * r1, even * r2,
+            -a1 / a3 * odd * r3, sqrt(0.5 / a3) * r3)
 
 
 def quadrature_variances(ss: SteadyState, p: SystemParams) -> VariancePair:
@@ -216,14 +223,17 @@ def quadrature_variances(ss: SteadyState, p: SystemParams) -> VariancePair:
     """
     if not routh_hurwitz(p, ss).stable:
         raise UnstableSystem("no stationary state: stability conditions violated")
-    # overflow to inf or nan stays silent: the check below refuses it by name
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            weights = _variance_weights(ss, p)
-        except ZeroDivisionError:   # a form underflows, at absurd parameters
-            raise NonFiniteVariance(_OUT_OF_RANGE) from None
-        roots = _mirror_polynomials(ss, p).reshape(8, 4) @ weights
-        var_q, var_p = (roots * roots).reshape(2, 16).sum(axis=1).tolist()
+    try:
+        w00, w01, w12, w21, w32, w33 = _variance_weights(ss, p)
+    except ZeroDivisionError:   # a form underflows, at absurd parameters
+        raise NonFiniteVariance(_OUT_OF_RANGE) from None
+    # |b @ W|^2 of each row, summed per quadrature; overflow to inf or nan
+    # stays silent: the check below refuses it by name
+    sums = [0.0, 0.0]
+    for k, (b0, b1, b2, b3) in enumerate(_mirror_polynomials(ss, p)):
+        r0, r1, r2, r3 = b0 * w00, b0 * w01 + b2 * w21, b1 * w12 + b3 * w32, b3 * w33
+        sums[k // 4] += r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3
+    var_q, var_p = sums
     if not (isfinite(var_q) and isfinite(var_p)):
         raise NonFiniteVariance(_OUT_OF_RANGE)
     return VariancePair(var_q=var_q, var_p=var_p)
@@ -233,4 +243,4 @@ def squeezing_db(variance: float) -> float:
     """Noise reduction below the vacuum level 1/2, in decibels."""
     if variance <= 0.0:
         raise ValueError(f"variance must be positive, got {variance}")
-    return -10.0 * np.log10(variance / 0.5)
+    return -10.0 * log10(variance / 0.5)

@@ -36,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import cos, sin, sqrt
 
-import numpy as np
-
 from .params import SteadyState, SystemParams
 from .mech_spectra import _optical_couplings, _spectra
 from .stability import _factor_pairs
@@ -48,10 +46,9 @@ _EDGE_TOL = 1e-5      # width of the last bracket on band edges, units of kappa
 _SEARCH_CAP = 10.0    # the reported edge when no crossing is found, units of kappa
 _VACUUM_MARGIN = 1e-12  # below vacuum by less than this is not a band
 # the first grid of the band search, units of kappa: zero, then 256
-# geometric points from 1e-3 to the cap, in Python floats: np.geomspace
-# at import raised a fresh interpreter's peak memory by about 0.5 MB
-_FIRST_GRID = np.array([0.0] + [1e-3 * (1e3 * _SEARCH_CAP) ** (k / 255)
-                                 for k in range(256)])
+# geometric points from 1e-3 to the cap, a tuple of Python floats: the
+# module imports without numpy
+_FIRST_GRID = (0.0, *(1e-3 * (1e3 * _SEARCH_CAP) ** (k / 255) for k in range(256)))
 _CELL_POINTS = 65     # points across each bracket, its two ends included
 
 
@@ -81,6 +78,7 @@ def _output_couplings(phis: np.ndarray, ss: SteadyState, p: SystemParams,
     conjugated, and the mirror's optical-input couplings carry its noise
     out. ``optical`` and ``thermal`` scale the couplings of each bath.
     """
+    import numpy as np
     gi, gr, a, b = _optical_couplings(ss, p, -thermal * sqrt(p.gamma_m))
     q = 4.0 * p.kappa * p.G * optical
     qc, qs = q * cos(p.theta), q * sin(p.theta)
@@ -122,6 +120,7 @@ def spectrum_zout(omega, phi: float, ss: SteadyState, p: SystemParams):
 
     Returns an array matching the shape of ``omega`` (scalar in, 0-d out).
     """
+    import numpy as np
     om = np.asarray(omega, dtype=float)
     b = _output_rows(np.array([phi], dtype=float), ss, p)
     return _spectra(b, _factor_pairs(ss, p), om.ravel()).reshape(om.shape)
@@ -141,6 +140,7 @@ def find_band(phi: float, ss: SteadyState, p: SystemParams) -> SqueezingBand | N
     The spectrum is even, so the band is symmetric and the search runs on
     positive frequencies only.
     """
+    import numpy as np
     b, pairs = _output_rows(np.array([phi], dtype=float), ss, p), _factor_pairs(ss, p)
     if _at_zero(b, pairs) >= 0.5 - _VACUUM_MARGIN:
         return None
@@ -148,7 +148,7 @@ def find_band(phi: float, ss: SteadyState, p: SystemParams) -> SqueezingBand | N
     def s(w):
         return _spectra(b, pairs, w)[0]
 
-    grid = p.kappa * _FIRST_GRID
+    grid = p.kappa * np.array(_FIRST_GRID)
     values = s(grid)
     edge = _SEARCH_CAP * p.kappa
     above = values >= 0.5
@@ -181,6 +181,7 @@ def detection_map(omega_grid, phi_grid, ss: SteadyState,
     The coefficient rows are built once for every phase, and the whole
     grid is evaluated in one product.
     """
+    import numpy as np
     om = np.asarray(omega_grid, dtype=float).ravel()
     phis = np.asarray(phi_grid, dtype=float).ravel()
     return _spectra(_output_rows(phis, ss, p), _factor_pairs(ss, p), om).T

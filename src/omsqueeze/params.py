@@ -31,8 +31,6 @@ import cmath
 import operator
 from dataclasses import MISSING, dataclass, fields
 
-import numpy as np
-
 from .errors import ConfigError, NonConvergence
 
 __all__ = [
@@ -238,6 +236,7 @@ def solve_steady_state(p: SystemParams) -> SteadyState:
         return SteadyState(c_s=g / g0, delta_eff=delta, g=g,
                            n_th_m=n_th_m, n_th_c=n_th_c)
 
+    import numpy as np   # the power mode's root finder
     eps = p.epsilon_l if p.epsilon_l is not None else _epsilon_from_power(p)
     g0 = p.g0
     # radiation pressure shifts the detuning by xi |c_s|^2

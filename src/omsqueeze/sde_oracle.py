@@ -42,8 +42,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ConfigError, UnstableSystem
 from .stability import DriftModel, _decay_rate
 
@@ -147,6 +145,7 @@ def suggest_config(dm: DriftModel, seed: int = 0, n_traj: int = SimConfig.n_traj
 
 def _expm(X: np.ndarray) -> np.ndarray:
     """Taylor polynomial of exp(X), exact to rounding for norm(X) <= 1/2."""
+    import numpy as np
     term = out = np.eye(X.shape[0])
     for k in range(1, _TAYLOR_TERMS + 1):
         term = term @ X / k
@@ -164,6 +163,7 @@ def _step_maps(M: np.ndarray, D: np.ndarray, dt: float) -> tuple[np.ndarray, np.
     Q may be singular (zeros on the diagonal of D): B comes from its
     eigendecomposition with rounding-level negative eigenvalues clipped.
     """
+    import numpy as np
     n = M.shape[0]
     block = np.block([[-M, D], [np.zeros_like(M), M.T]])
     scaled = dt * float(np.linalg.norm(block, 1))
@@ -186,6 +186,7 @@ def simulate(dm: DriftModel, cfg: SimConfig) -> SimEstimate:
     stationary state, ConfigError for a burn-in below 10 slowest relaxation
     times. ``DriftModel`` has already checked D.
     """
+    import numpy as np
     M, D = dm.M, dm.D
     slowest = _slowest(M, "no stationary state to sample")
     burn_floor = _BURN_FACTOR / slowest

@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .params import SteadyState, SystemParams
 
 __all__ = ["DriftModel", "StabilityReport", "build_drift", "routh_hurwitz",
@@ -48,6 +46,7 @@ class DriftModel:
     D: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         n, D = len(self.M), self.D
         # both routes report rows 0 and 1, the mirror Q and P
         if n < 2 or self.M.shape != (n, n) or D.shape != (n, n):
@@ -82,6 +81,7 @@ def build_drift(ss: SteadyState, p: SystemParams) -> DriftModel:
     theta); the off-diagonal blocks carry the beamsplitter coupling with
     the real and imaginary parts of g entering separately.
     """
+    import numpy as np
     k, gam, G, th = p.kappa, p.gamma_m, p.G, p.theta
     gr, gi = ss.g.real, ss.g.imag
     c, s = np.cos(th), np.sin(th)
@@ -161,6 +161,7 @@ def _decay_rate(M: np.ndarray) -> tuple[float, bool]:
     """Slowest decay rate -max Re(lambda) of M, from one ``eigvals``, and
     whether it is decaying by ``_decaying`` at the scale -tr(M)/2.
     ValueError for a non-finite M."""
+    import numpy as np
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise ValueError("drift matrix must be finite")

@@ -282,6 +282,24 @@ class TestGrids:
         flags = {r["stable"] for r in rows}
         assert flags == {"true", "false"}
 
+    def test_grid_is_linspace_bit_for_bit(self):
+        # the float grid of every command gives np.linspace's values: random
+        # ranges of any sign and scale, one and two points, a step that
+        # underflows, and a span that overflows to inf
+        rng = np.random.default_rng(28)
+        cases = [((0.0, 5e-324), 3), ((0.0, 1e-323), 6), ((-1e-323, 1e-323), 9),
+                 ((0.0, 1.0), 1), ((-3.0, -2.0), 1), ((-3.0, -2.0), 2),
+                 ((-1e308, 1e308), 1), ((-1e308, 1e308), 5), ((0.1, 0.7), 2)]
+        for _ in range(5000):
+            lo, hi = np.sort(rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-320, 308, 2))
+            if lo < hi:
+                cases.append(((float(lo), float(hi)), int(rng.integers(1, 300))))
+        for bounds, points in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = np.linspace(*bounds, points)
+            grid = np.array(cli._grid(bounds, points, "--points"))
+            assert np.array_equal(grid.view(np.uint64), expected.view(np.uint64)), bounds
+
     def test_detect_map(self, tmp_path):
         code, path = run(tmp_path, "detect-map", "--config", "fig8",
                          "--points", "5", "--phi-points", "3")
@@ -817,6 +835,23 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--config", "fig8", "--omega-range", "1e37", "1e40", "--points", "3"],
+        ["spectrum", "--config", "fig3", "--omega-range", "1e50", "1e53", "--points", "3"],
+    ])
+    def test_overflowing_spectrum_is_refused_without_warnings(self, tmp_path, argv):
+        # the spectra overflow to nan there; a fresh interpreter that prints
+        # every warning shows only the refusal
+        src = Path(omsqueeze.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "omsqueeze.cli", *argv, "-o", str(tmp_path / "x.csv")],
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONWARNINGS="default"),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("numerical failure: non-finite result")
+        assert "RuntimeWarning" not in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
     def test_bad_theta_literal(self, tmp_path, capsys):
         code = main(["analytic", "--theta", "two pi",
                      "--gamma-m", "1e-5", "--cooperativity", "400",
@@ -884,18 +919,38 @@ class TestLoggingFlags:
             f"INFO wrote {tmp_path / name}\n" for name in ("a.csv", "b.csv")]
 
 
-@pytest.mark.parametrize("module", ["scipy", "concurrent.futures", "multiprocessing",
-                                    "logging"])
+@pytest.mark.parametrize("module", ["numpy", "scipy", "concurrent.futures",
+                                    "multiprocessing", "logging"])
 def test_import_leaves_module_out(module):
-    # scipy is a test dependency only, every command runs in one process and
-    # the progress lines are plain prints, so the runtime needs numpy alone,
-    # no process machinery and no logging
+    # scipy is a test dependency only, numpy is imported by the functions
+    # that build arrays, every command runs in one process and the progress
+    # lines are plain prints: the import needs no numpy, no process
+    # machinery and no logging
     src = Path(omsqueeze.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys, omsqueeze.cli; print({module!r} in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
         check=True)
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command, preset", [
+    ("sweep-gain", "fig3"), ("sweep-gain", "fig5"), ("sweep-cooperativity", "fig4"),
+    ("sweep-temperature", "fig6"), ("cavity-sweep", "fig9"), ("stability-map", "fig3"),
+    ("analytic", "fig3")])
+def test_scalar_command_runs_without_numpy(tmp_path, command, preset):
+    # closed forms on a float grid: the command at its preset never loads numpy
+    src = Path(omsqueeze.__file__).resolve().parents[1]
+    script = ("import sys; from omsqueeze.cli import main; code = main(sys.argv[1:]); "
+              "print('numpy' in sys.modules); sys.exit(code)")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, command, "--config", preset, "--quiet",
+         "-o", str(tmp_path / "x.csv")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert read_table(tmp_path / "x.csv")[1]
 
 
 # ---------------------------------------------------------------------------

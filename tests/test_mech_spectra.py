@@ -3,6 +3,7 @@ resolvent, limits, and the frequency-domain variance route."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +14,13 @@ from omsqueeze import (
     SystemParams,
     UnstableSystem,
     build_drift,
+    cavity_spectra,
+    detection_map,
     quadrature_variances,
     routh_hurwitz,
     solve_steady_state,
     spectrum,
+    spectrum_zout,
     squeezing_db,
     steady_covariance,
 )
@@ -36,7 +40,7 @@ def couplings(omega: float, ss, p) -> dict:
     """The eight mirror couplings and den at one frequency, from the
     polynomial form: each row of _mirror_rows weights the factor
     polynomials (s, v, T, 1), over den on the factor pairs."""
-    rows = mech_spectra._mirror_rows(ss, p).reshape(8, 4)
+    rows = np.asarray(mech_spectra._mirror_rows(ss, p)).reshape(8, 4)
     b = rows @ mech_spectra._factor_polynomials(ss, p)
     values, den = evaluate_rows(b, _factor_pairs(ss, p), omega)
     return dict(zip(COEFF_NAMES, [*values, den]))
@@ -90,6 +94,24 @@ class TestTransferCoefficients:
         t = couplings(0.7, opt_state, opt_params)
         assert t["F1"] == t["E2"]
 
+    def test_skipped_row_entries_are_zero(self):
+        # _mirror_polynomials reads the A and B rows on (s, v) and the E and
+        # F rows on (T, 1): every entry it skips is exactly zero, so its rows
+        # equal the whole product, summed in floats, bit for bit
+        rng = np.random.default_rng(27)
+        for _ in range(50):
+            p = draw_stable_params(rng)
+            ss = solve_steady_state(p)
+            rows = mech_spectra._mirror_rows(ss, p, math.sqrt(ss.n_th_c + 0.5),
+                                             math.sqrt(ss.n_th_m + 0.5))
+            for k, row in enumerate(rows):
+                skipped = row[2:] if k % 4 < 2 else row[:2]
+                assert skipped == (0.0, 0.0)
+            factors = mech_spectra._factor_polynomials(ss, p)
+            product = [[sum(c * f[j] for c, f in zip(row, factors)) for j in range(4)]
+                       for row in rows]
+            assert np.array_equal(mech_spectra._mirror_polynomials(ss, p), product)
+
     def test_spectrum_matches_resolvent_on_random_draws(self):
         rng = np.random.default_rng(21)
         for _ in range(15):
@@ -133,6 +155,21 @@ class TestOneEvaluationPerFrequency:
         assert np.array_equal(shaped.S_Q.ravel(), flat.S_Q)
         assert np.array_equal(shaped.S_P.ravel(), flat.S_P)
         assert spectrum(0.1, opt_state, opt_params).S_Q.shape == (1,)
+
+
+class TestHugeFrequencies:
+    def test_no_warning_at_1e300_kappa(self, opt_state, opt_params):
+        # the powers of omega overflow there; every spectrum evaluates
+        # silently, and the CLI's finite check refuses what is not finite
+        omega = np.array([0.0, 1e300, -1e300]) * opt_params.kappa
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sample = spectrum(omega, opt_state, opt_params)
+            values = [sample.S_Q, sample.S_P,
+                      spectrum_zout(omega, math.pi / 2, opt_state, opt_params),
+                      *cavity_spectra(omega, opt_params),
+                      *detection_map(omega, [0.0, math.pi / 2], opt_state, opt_params).T]
+        assert all(np.isfinite(v[0]) for v in values)
 
 
 class TestSpectrumProperties:

@@ -340,7 +340,7 @@ class TestBatchedBandSearch:
         # first grid, at least one refinement spacing apart: the edge is
         # the crossing nearest zero, not whichever one a bisection meets
         ss, p = point(cooperativity=0.0)   # kappa = 1
-        first_grid = output_detection._FIRST_GRID
+        first_grid = np.asarray(output_detection._FIRST_GRID)
         rng = np.random.default_rng(15)
         for _ in range(3000):
             i = rng.integers(1, first_grid.size)
