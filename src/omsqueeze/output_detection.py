@@ -21,15 +21,15 @@ reference band half-width below, so it is cross-checked, not assumed.
 The band search builds the rows and pairs once. It decides first, from
 S_zout at omega = 0: the z^0 coefficients squared over den(0)^2 =
 (q- q+)^2, summed in ``_spectra``'s order, the spectrum there bit for bit;
-at or above vacuum it evaluates no grid. Else one spectrum call reads zero
-and 256 geometric points from 1e-3 kappa to 10 kappa, and the edge lies in
-the cell before the first point at or above vacuum. Each further call
-evaluates that cell's 63 inner points, its ends keeping their side, and
-takes the cell before the first point at or above vacuum among them, until
-it is at most 1e-5 kappa wide: three refinements at most. The band is thus
-the connected sub-vacuum interval around zero, resolved to the first
-grid's spacing of 3.7% in omega; with no crossing on the first grid the
-10 kappa cap is the edge. The minimum is read on [0, edge], at omega >= 0.
+at or above vacuum it evaluates no spectrum. Else, in x = omega^2, S_zout
+= N(x)/den(x): N sums the squares of each row's real and imaginary parts,
+den is the product of (q - x)^2 + p^2 x over the pairs. The edge is the
+square root of the least root of N - den/2, the band thus the connected
+sub-vacuum interval around zero, or the 10 kappa cap with no root below
+it. The minimum is the least of one spectrum call at 0, the edge and the
+roots of N' den - N den' between. Roots are the reciprocals of those of
+the reversed polynomial: companion-matrix roots are accurate relative to
+the largest (Edelman and Murakami, Math. Comp. 64, 1995).
 """
 from __future__ import annotations
 
@@ -37,19 +37,13 @@ from dataclasses import dataclass
 from math import cos, sin, sqrt
 
 from .params import SteadyState, SystemParams
-from .mech_spectra import _optical_couplings, _spectra
+from .mech_spectra import _factor_polynomials, _optical_couplings, _spectra
 from .stability import _factor_pairs
 
 __all__ = ["SqueezingBand", "detection_map", "find_band", "spectrum_zout"]
 
-_EDGE_TOL = 1e-5      # width of the last bracket on band edges, units of kappa
-_SEARCH_CAP = 10.0    # the reported edge when no crossing is found, units of kappa
+_SEARCH_CAP = 10.0    # the reported edge when no crossing is below it, units of kappa
 _VACUUM_MARGIN = 1e-12  # below vacuum by less than this is not a band
-# the first grid of the band search, units of kappa: zero, then 256
-# geometric points from 1e-3 to the cap, a tuple of Python floats: the
-# module imports without numpy
-_FIRST_GRID = (0.0, *(1e-3 * (1e3 * _SEARCH_CAP) ** (k / 255) for k in range(256)))
-_CELL_POINTS = 65     # points across each bracket, its two ends included
 
 
 @dataclass(frozen=True)
@@ -88,8 +82,7 @@ def _output_couplings(phis: np.ndarray, ss: SteadyState, p: SystemParams,
     ]).reshape(2, 16)
     rotation = np.array([np.cos(phis), np.sin(phis)]).T
     rows = (rotation @ rows).reshape(-1, 4)
-    h = 0.5 * p.gamma_m   # s = s0 + s1 z + z^2 and v = h + z, of _factor_polynomials
-    s0, s1 = p.kappa * h + abs(ss.g) ** 2, p.kappa + h
+    (s0, s1, _, _), (h, _, _, _), _, _ = _factor_polynomials(ss, p)   # s and v
     (p_lo, q_lo), (p_hi, q_hi) = _factor_pairs(ss, p)
     k2 = 2.0 * p.kappa
     X = np.array([   # 2 kappa v s - den, v^2, s, v; den expanded from the pairs
@@ -97,7 +90,8 @@ def _output_couplings(phis: np.ndarray, ss: SteadyState, p: SystemParams,
         k2 * (h + s1) - (q_lo + q_hi + p_lo * p_hi), k2 - (p_lo + p_hi), -1.0,
         h * h, 2.0 * h, 1.0, 0.0, 0.0,  s0, s1, 1.0, 0.0, 0.0,  h, 1.0, 0.0, 0.0, 0.0,
     ]).reshape(4, 5)
-    return (rows @ X).reshape(-1, 4, 5)
+    with np.errstate(over="ignore", invalid="ignore"):   # inf or nan stays silent, as in _spectra
+        return (rows @ X).reshape(-1, 4, 5)
 
 
 def _output_rows(phis: np.ndarray, ss: SteadyState, p: SystemParams) -> np.ndarray:
@@ -126,52 +120,55 @@ def spectrum_zout(omega, phi: float, ss: SteadyState, p: SystemParams):
     return _spectra(b, _factor_pairs(ss, p), om.ravel()).reshape(om.shape)
 
 
+def _positive_roots(c: np.ndarray) -> np.ndarray:
+    # the positive real roots x of sum_k c[k] x^k: the reciprocals of the
+    # roots y of the reversed polynomial, the eigenvalues of its companion
+    # matrix. c[0] must be nonzero; a zero c[-1] is a root y = 0, no x.
+    import numpy as np
+    if not np.isfinite(c).all():
+        raise OverflowError("the band polynomials leave the double-precision range")
+    companion = np.eye(len(c) - 1, k=-1)
+    companion[0] = -c[1:] / c[0]
+    y = np.linalg.eigvals(companion)
+    return 1.0 / y.real[(y.imag == 0.0) & (y.real > 0.0)]
+
+
 def find_band(phi: float, ss: SteadyState, p: SystemParams) -> SqueezingBand | None:
     """Squeezing band of the output spectrum around zero frequency.
 
-    Returns None, before any grid is evaluated, when the spectrum at
+    Returns None, before any spectrum is evaluated, when the spectrum at
     omega = 0 is at or above the vacuum level, where "at" includes a
     rounding-dust margin: a passive working point evaluates to 0.5 minus a
-    few ulps and must not report a band. Only the connected sub-vacuum
-    interval containing zero is reported, as resolved by the first grid;
-    its edge is the first vacuum crossing, refined to ``_EDGE_TOL`` kappa,
-    or the ``_SEARCH_CAP`` kappa cap when the first grid finds none. The
-    coefficient rows are built once, for every grid (see the module notes).
-    The spectrum is even, so the band is symmetric and the search runs on
-    positive frequencies only.
+    few ulps and must not report a band. Else the band is the connected
+    sub-vacuum interval around zero, its edge the first vacuum crossing or
+    the ``_SEARCH_CAP`` kappa cap, and its minimum read at omega >= 0 (see
+    the module notes). The spectrum is even, so the band is symmetric.
     """
     import numpy as np
     b, pairs = _output_rows(np.array([phi], dtype=float), ss, p), _factor_pairs(ss, p)
     if _at_zero(b, pairs) >= 0.5 - _VACUUM_MARGIN:
         return None
-
-    def s(w):
-        return _spectra(b, pairs, w)[0]
-
-    grid = p.kappa * np.array(_FIRST_GRID)
-    values = s(grid)
-    edge = _SEARCH_CAP * p.kappa
-    above = values >= 0.5
-    while above.any():
-        i = int(above.argmax())   # the first crossing, at least 1: zero is below
-        lo, hi = grid[i - 1], grid[i]
-        if hi - lo <= _EDGE_TOL * p.kappa:
-            edge = float(0.5 * (lo + hi))
-            break
-        grid = np.linspace(lo, hi, _CELL_POINTS)
-        # lo is below and hi above already; only the interior is evaluated
-        above = np.concatenate(([False], s(grid[1:-1]) >= 0.5, [True]))
-
-    grid = np.linspace(0.0, edge, 2049)   # the spectrum is even
-    vals = s(grid)
-    k = int(np.argmin(vals))
-    return SqueezingBand(
-        phi=float(phi),
-        omega_lo=-edge,
-        omega_hi=edge,
-        min_S=float(vals[k]),
-        min_at=float(grid[k]),
-    )
+    # a row c is (c0 - c2 x + c4 x^2) + i omega (c3 x - c1) at x = omega^2;
+    # inf or nan stays silent here, and _positive_roots refuses it by name.
+    # N - den/2 is den(0) (S(0) - 1/2) < 0 at x = 0, and N' den - N den',
+    # dS/dx den^2, was nonzero there at every band point tested
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = b[0].T @ b[0]   # sums over the couplings of products of two columns
+        N = np.array([g[0, 0], g[1, 1] - 2.0 * g[0, 2], g[2, 2] + 2.0 * g[0, 4] - 2.0 * g[1, 3],
+                      g[3, 3] - 2.0 * g[2, 4], g[4, 4]])
+        den = np.ones(1)
+        for pp, q in pairs:
+            den = np.convolve(den, [q * q, pp * pp - 2.0 * q, 1.0])
+        d = np.arange(1.0, 5.0)   # N' = N[1:] d, den' = den[1:] d
+        crossing = N - 0.5 * den
+        turning = np.convolve(N[1:] * d, den) - np.convolve(N, den[1:] * d)   # x^7 terms cancel
+    x_edge = _positive_roots(crossing).min(initial=(_SEARCH_CAP * p.kappa) ** 2)
+    turns = _positive_roots(turning)
+    om = np.sqrt([0.0, x_edge, *turns[turns < x_edge]])
+    vals = _spectra(b, pairs, om)[0]
+    edge, i = float(om[1]), int(np.argmin(vals))
+    return SqueezingBand(phi=float(phi), omega_lo=-edge, omega_hi=edge,
+                         min_S=float(vals[i]), min_at=float(om[i]))
 
 
 def detection_map(omega_grid, phi_grid, ss: SteadyState,

@@ -63,14 +63,12 @@ class DriftModel:
 @dataclass(frozen=True)
 class StabilityReport:
     """Routh-Hurwitz conditions and the decision taken on ``decay_rate``,
-    the slowest decay rate of the fluctuations; ``poles`` are the four
-    drift eigenvalues it is taken from."""
+    the slowest decay rate of the fluctuations."""
 
     stable: bool
     conditions: tuple[float, float, float]
     marginal: bool
     decay_rate: float
-    poles: tuple[complex, ...]
 
 
 def build_drift(ss: SteadyState, p: SystemParams) -> DriftModel:
@@ -139,8 +137,7 @@ def routh_hurwitz(p: SystemParams, ss: SteadyState) -> StabilityReport:
     factor pairs or the decay rates leave the double-precision range.
     """
     pairs = _factor_pairs(ss, p)
-    poles = _poles(pairs)
-    rates = [-lam.real for lam in poles]
+    rates = [-lam.real for lam in _poles(pairs)]
     if not all(map(math.isfinite, [*pairs[0], *pairs[1], *rates])):
         raise OverflowError("the characteristic quartic leaves the double-precision range")
     (p_lo, q_lo), (p_hi, q_hi) = pairs
@@ -153,8 +150,7 @@ def routh_hurwitz(p: SystemParams, ss: SteadyState) -> StabilityReport:
     rate = min(rates)
     damping = p.kappa + p.gamma_m / 2
     return StabilityReport(stable=_decaying(rate, damping), conditions=(c1, c2, c3),
-                           marginal=not _decaying(abs(rate), damping), decay_rate=rate,
-                           poles=poles)
+                           marginal=not _decaying(abs(rate), damping), decay_rate=rate)
 
 
 def _decay_rate(M: np.ndarray) -> tuple[float, bool]:

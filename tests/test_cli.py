@@ -341,7 +341,7 @@ class TestSpectra:
         assert meta["band"] == "present"
         assert float(meta["band_omega_hi"]) == pytest.approx(0.01872,
                                                              abs=1e-4)
-        assert meta["band_min_at"] == "0.00606998171386"
+        assert meta["band_min_at"] == "0.0060656107002"
 
     def test_detect_band_ends_at_the_first_crossing(self, tmp_path):
         # sub-vacuum at zero, above vacuum past 2.08 kappa and below it
@@ -787,19 +787,21 @@ class TestExitCodes:
         (["stability-map", "--gamma-m", "1e-5", "--cooperativity", "400",
           "--gain-range", "0", "1e300", "--gain-points", "3",
           "--coop-points", "2"], "OverflowError: "),
-        # the coefficients overflow to nan, which the writer refuses
+        # the coefficients overflow to nan: the band's polynomials are
+        # refused before their roots, the spectra by the writer
         (["detect", "--gamma-m", "1e-5", "--cooperativity", "1e300",
-          "--points", "3"], "non-finite result: band_min_S = nan"),
+          "--points", "3"], "OverflowError: the band polynomials leave"),
         (["spectrum", "--gamma-m", "1e-5", "--cooperativity", "1e300",
           "--points", "3"], "non-finite result: S_Q = nan"),
         # |g|^2 = 1e303 is finite; the variance forms it feeds underflow
         (["analytic", "--gamma-m", "1e-5", "--cooperativity", "1e308"],
          "the spectral coefficients leave the double-precision range"),
+        (["detect-map", "--gamma-m", "1e-5", "--cooperativity", "1e300"],
+         "non-finite result: S_zout = nan"),
     ])
     def test_overflow_is_numerical_failure(self, tmp_path, capsys, argv, message):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = main([*argv, "-o", str(tmp_path / "x.csv")])
+        # pytest turns any numpy warning into an error
+        code = main([*argv, "-o", str(tmp_path / "x.csv")])
         err = capsys.readouterr().err
         assert code == 2
         assert f"numerical failure: {message}" in err

@@ -26,7 +26,7 @@ from omsqueeze import (
 )
 
 from omsqueeze import mech_spectra
-from omsqueeze.stability import _factor_pairs
+from omsqueeze.stability import _factor_pairs, _poles
 
 from conftest import (draw_low_damping_params, draw_near_marginal_params, draw_stable_params,
                       evaluate_rows)
@@ -63,7 +63,7 @@ def integrated_variances(ss, p) -> tuple[float, float]:
     def f(om):
         s = spectrum(om, ss, p)
         return np.stack([s.S_Q, s.S_P])
-    poles = [(lam.imag, -lam.real) for lam in routh_hurwitz(p, ss).poles]
+    poles = [(lam.imag, -lam.real) for lam in _poles(_factor_pairs(ss, p))]
     var_q, var_p = integrate_line(f, features=poles) / (2.0 * np.pi)
     return float(var_q), float(var_p)
 
